@@ -113,10 +113,10 @@ fn host_metadata_json() -> String {
     )
 }
 
-/// Kernel-tier sweep: per-kernel GFLOP/s for the scalar reference, the
-/// portable unrolled tier and the AVX2 SIMD tier, across the Figure 4/5
-/// feature widths.  Records `BENCH_kernels.json` (never on `--smoke`) with
-/// the ≥1.3× rank-k acceptance cell and the host's CPU-feature metadata.
+/// Kernel-tier sweep: per-kernel GFLOP/s for the scalar reference and the
+/// AVX2 SIMD tier, across the Figure 4/5 feature widths.  Records
+/// `BENCH_kernels.json` (never on `--smoke`) with the ≥1.3× rank-k
+/// acceptance cell and the host's CPU-feature metadata.
 fn kernels(full: bool, smoke: bool) {
     println!("== Batched linalg kernels: dispatch-tier throughput (GFLOP/s) ==\n");
     let (widths, target_flops, samples): (&[usize], f64, usize) = if smoke {
@@ -141,8 +141,8 @@ fn kernels(full: bool, smoke: bool) {
             .unwrap_or_else(|| format!("{:>10}", "-"))
     };
     println!(
-        "{:<30}  {:>6}  {:>6}  {:>10}  {:>10}  {:>10}  {:>8}",
-        "kernel", "width", "rows", "scalar", "unrolled", "simd", "speedup"
+        "{:<30}  {:>6}  {:>6}  {:>10}  {:>10}  {:>8}",
+        "kernel", "width", "rows", "scalar", "simd", "speedup"
     );
     let mut kernel_names: Vec<&'static str> = Vec::new();
     for m in &measurements {
@@ -161,12 +161,11 @@ fn kernels(full: bool, smoke: bool) {
                 .map(|(_, _, ratio)| format!("{ratio:>7.2}x"))
                 .unwrap_or_else(|| format!("{:>8}", "-"));
             println!(
-                "{:<30}  {:>6}  {:>6}  {}  {}  {}  {}",
+                "{:<30}  {:>6}  {:>6}  {}  {}  {}",
                 kernel,
                 width,
                 rows,
                 gflops_of(kernel, width, "scalar"),
-                gflops_of(kernel, width, "unrolled"),
                 gflops_of(kernel, width, "simd"),
                 speedup,
             );
@@ -176,12 +175,13 @@ fn kernels(full: bool, smoke: bool) {
     // The PR's acceptance cell: rank-k at the widest measured shape must
     // beat the scalar tier by ≥1.3×.
     let accept_width = *widths.last().expect("sweep has at least one width");
-    if let Some((scalar, best, ratio)) =
-        madlib_bench::kernel_speedup_cell(&measurements, "rank_k_update_lower", accept_width)
-    {
-        println!(
-            "\nrank_k_update_lower @ width {accept_width}: scalar {scalar:.2} GFLOP/s -> best {best:.2} GFLOP/s = {ratio:.2}x (acceptance floor 1.3x)",
-        );
+    match madlib_bench::kernel_speedup_cell(&measurements, "rank_k_update_lower", accept_width) {
+        Some((scalar, best, ratio)) => println!(
+            "\nrank_k_update_lower @ width {accept_width}: scalar {scalar:.2} GFLOP/s -> simd {best:.2} GFLOP/s = {ratio:.2}x (acceptance floor 1.3x)",
+        ),
+        None => println!(
+            "\nrank_k_update_lower @ width {accept_width}: no SIMD tier on this host (AVX2 not detected); scalar only, no speedup cell",
+        ),
     }
 
     if smoke {
@@ -1028,9 +1028,10 @@ fn grouped_training(full: bool) {
         zipf_cells.push(m);
     }
 
-    let mut json = String::from(
-        "{\n  \"experiment\": \"grouped_linregr_training_row_vs_chunk\",\n  \"cells\": [\n",
-    );
+    let mut json =
+        String::from("{\n  \"experiment\": \"grouped_linregr_training_row_vs_chunk\",\n");
+    json.push_str(&host_metadata_json());
+    json.push_str("  \"cells\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"rows\": {}, \"variables\": {}, \"groups\": {}, \"segments\": {}, \"row_s\": {:.6}, \"chunk_s\": {:.6}, \"speedup\": {:.4}}}{}\n",

@@ -148,6 +148,13 @@ pub fn measure_linregr_scan(table: &Table, mode: ExecutionMode) -> Duration {
     elapsed
 }
 
+/// The median of a non-empty set of timings (the upper middle one for an
+/// even count).
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// One cell of the row-path vs. chunk-path comparison: median-of-`samples`
 /// scan time per mode for the v0.3 kernel at the given table shape.
 ///
@@ -169,16 +176,16 @@ pub fn measure_row_vs_chunk(
 ) -> (Duration, Duration) {
     assert!(samples > 0, "need at least one sample");
     let table = figure4_table(rows, variables, segments, 42 + variables as u64);
-    let median = |mode: ExecutionMode| -> Duration {
-        let mut times: Vec<Duration> = (0..samples)
-            .map(|_| measure_linregr_scan(&table, mode))
-            .collect();
-        times.sort_unstable();
-        times[times.len() / 2]
+    let time_mode = |mode: ExecutionMode| -> Duration {
+        median(
+            (0..samples)
+                .map(|_| measure_linregr_scan(&table, mode))
+                .collect(),
+        )
     };
     (
-        median(ExecutionMode::RowAtATime),
-        median(ExecutionMode::Chunked),
+        time_mode(ExecutionMode::RowAtATime),
+        time_mode(ExecutionMode::Chunked),
     )
 }
 
@@ -396,10 +403,6 @@ pub fn measure_grouped_composite_row_vs_chunk(
         42 + (groups * subgroups) as u64,
     );
     let expected = groups * subgroups;
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let row_executor = Executor::row_at_a_time();
     let row_path = median(
         (0..samples)
@@ -437,10 +440,6 @@ pub fn measure_grouped_row_vs_chunk(
 ) -> GroupedMeasurement {
     assert!(samples > 0, "need at least one sample");
     let table = grouped_regression_table(rows, variables, groups, segments, 42 + groups as u64);
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let row_path = median(
         (0..samples)
             .map(|_| measure_grouped_legacy_row_loop(&table, groups))
@@ -526,10 +525,6 @@ pub fn measure_grouped_training(
 ) -> GroupedTrainingMeasurement {
     assert!(samples > 0, "need at least one sample");
     let table = grouped_regression_table(rows, variables, groups, segments, 77 + groups as u64);
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let row_path = median(
         (0..samples)
             .map(|_| measure_grouped_training_pass(&table, Executor::row_at_a_time(), groups))
@@ -749,10 +744,6 @@ pub fn measure_zipf_schedulers(
         .expect("scan over generated data cannot fail");
         state.num_rows
     };
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
 
     // Pin both policies to the same worker count via the env override the
     // engine's worker_count() honours.
@@ -822,10 +813,6 @@ pub fn measure_grouped_training_zipf(
     assert!(samples > 0, "need at least one sample");
     let table =
         zipf_grouped_regression_table(rows, variables, groups, segments, 55 + groups as u64);
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let row_path = median(
         (0..samples)
             .map(|_| measure_grouped_training_pass(&table, Executor::row_at_a_time(), groups))
@@ -852,7 +839,7 @@ pub fn measure_grouped_training_zipf(
 pub struct KernelMeasurement {
     /// Kernel under measurement (e.g. `"rank_k_update_lower"`).
     pub kernel: &'static str,
-    /// Dispatch tier measured: `"scalar"`, `"unrolled"` or `"simd"`.
+    /// Dispatch tier measured: `"scalar"` or `"simd"`.
     pub tier: &'static str,
     /// Feature-vector width (matrix dimension for the rank-k/gemm shapes).
     pub width: usize,
@@ -879,11 +866,11 @@ fn kernel_bench_data(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Sweeps every rewritten batched kernel across the dispatch tiers —
-/// `scalar` (reference), `unrolled` (portable 4-way) and `simd` (AVX2, when
-/// the host supports it) — addressing the tier modules directly so the
-/// `MADLIB_SIMD` dispatch cache cannot skew the comparison.  Each cell loops
-/// the kernel enough times to retire ~`target_flops` floating-point
-/// operations and reports the median-of-`samples` throughput.
+/// `scalar` (reference) and `simd` (AVX2, when the host supports it) —
+/// addressing the tier modules directly so the `MADLIB_SIMD` dispatch cache
+/// cannot skew the comparison.  Each cell loops the kernel enough times to
+/// retire ~`target_flops` floating-point operations and reports the
+/// median-of-`samples` throughput.
 ///
 /// # Panics
 /// Panics when `samples == 0` or an internal shape is invalid (it cannot be
@@ -893,9 +880,9 @@ pub fn measure_kernel_tiers(
     target_flops: f64,
     samples: usize,
 ) -> Vec<KernelMeasurement> {
-    use madlib_linalg::kernels::{scalar, simd, unrolled};
+    use madlib_linalg::kernels::{scalar, simd};
     assert!(samples > 0, "need at least one sample");
-    const TIERS: [&str; 3] = ["scalar", "unrolled", "simd"];
+    const TIERS: [&str; 2] = ["scalar", "simd"];
     const CLOSEST_COLUMNS: usize = 8;
     let mut measurements = Vec::new();
     for &width in widths {
@@ -928,17 +915,17 @@ pub fn measure_kernel_tiers(
                     continue;
                 }
                 f(tier_idx); // warm up (page in buffers, resolve branches)
-                let mut times: Vec<Duration> = (0..samples)
-                    .map(|_| {
-                        let start = Instant::now();
-                        for _ in 0..reps {
-                            f(tier_idx);
-                        }
-                        start.elapsed()
-                    })
-                    .collect();
-                times.sort_unstable();
-                let elapsed = times[times.len() / 2];
+                let elapsed = median(
+                    (0..samples)
+                        .map(|_| {
+                            let start = Instant::now();
+                            for _ in 0..reps {
+                                f(tier_idx);
+                            }
+                            start.elapsed()
+                        })
+                        .collect(),
+                );
                 measurements.push(KernelMeasurement {
                     kernel,
                     tier,
@@ -956,7 +943,6 @@ pub fn measure_kernel_tiers(
         run("rank_k_update_lower", tri_flops, &mut |tier| {
             match tier {
                 0 => scalar::rank_k_update_lower(&mut m, &xs, width),
-                1 => unrolled::rank_k_update_lower(&mut m, &xs, width),
                 _ => simd::rank_k_update_lower(&mut m, &xs, width),
             }
             black_box(m.as_slice().first());
@@ -968,7 +954,6 @@ pub fn measure_kernel_tiers(
             &mut |tier| {
                 match tier {
                     0 => scalar::weighted_rank_k_update_lower(&mut m, &xs, &weights, width),
-                    1 => unrolled::weighted_rank_k_update_lower(&mut m, &xs, &weights, width),
                     _ => simd::weighted_rank_k_update_lower(&mut m, &xs, &weights, width),
                 }
                 black_box(m.as_slice().first());
@@ -978,7 +963,6 @@ pub fn measure_kernel_tiers(
         run("xty_update", (2 * rows * width) as f64, &mut |tier| {
             match tier {
                 0 => scalar::xty_update(&mut acc, &xs, &ys, width),
-                1 => unrolled::xty_update(&mut acc, &xs, &ys, width),
                 _ => simd::xty_update(&mut acc, &xs, &ys, width),
             }
             black_box(acc.first());
@@ -987,7 +971,6 @@ pub fn measure_kernel_tiers(
         run("batch_dot", (2 * rows * width) as f64, &mut |tier| {
             match tier {
                 0 => scalar::batch_dot(&xs, &wvec, &mut out),
-                1 => unrolled::batch_dot(&xs, &wvec, &mut out),
                 _ => simd::batch_dot(&xs, &wvec, &mut out),
             }
             black_box(out.first());
@@ -999,7 +982,6 @@ pub fn measure_kernel_tiers(
             &mut |tier| {
                 match tier {
                     0 => scalar::batch_squared_distances(&xs, &center, &mut out),
-                    1 => unrolled::batch_squared_distances(&xs, &center, &mut out),
                     _ => simd::batch_squared_distances(&xs, &center, &mut out),
                 }
                 black_box(out.first());
@@ -1012,7 +994,6 @@ pub fn measure_kernel_tiers(
             &mut |tier| {
                 match tier {
                     0 => scalar::batch_closest_column(&columns, &xs, width, &mut best),
-                    1 => unrolled::batch_closest_column(&columns, &xs, width, &mut best),
                     _ => simd::batch_closest_column(&columns, &xs, width, &mut best),
                 }
                 black_box(best.first());
@@ -1022,7 +1003,6 @@ pub fn measure_kernel_tiers(
         run("gemv_acc", (2 * rows * width) as f64, &mut |tier| {
             match tier {
                 0 => scalar::gemv_acc(1.0, &a_mat, &wvec, &mut y),
-                1 => unrolled::gemv_acc(1.0, &a_mat, &wvec, &mut y),
                 _ => simd::gemv_acc(1.0, &a_mat, &wvec, &mut y),
             }
             black_box(y.first());
@@ -1034,7 +1014,6 @@ pub fn measure_kernel_tiers(
             &mut |tier| {
                 match tier {
                     0 => scalar::gemm_acc(&mut out, &gemm_a, &gemm_b),
-                    1 => unrolled::gemm_acc(&mut out, &gemm_a, &gemm_b),
                     _ => simd::gemm_acc(&mut out, &gemm_a, &gemm_b),
                 }
                 black_box(out.as_slice().first());
@@ -1044,9 +1023,10 @@ pub fn measure_kernel_tiers(
     measurements
 }
 
-/// The sweep's acceptance cell: scalar vs best-available throughput for one
-/// kernel at one width.  Returns `(scalar_gflops, best_gflops, ratio)`; the
-/// "best" tier is `simd` when measured, otherwise `unrolled`.
+/// The sweep's acceptance cell: scalar vs SIMD throughput for one kernel at
+/// one width.  Returns `(scalar_gflops, simd_gflops, ratio)`, or `None` when
+/// either tier was not measured — on a host without AVX2 there is no faster
+/// tier to compare against.
 pub fn kernel_speedup_cell(
     measurements: &[KernelMeasurement],
     kernel: &str,
@@ -1059,8 +1039,8 @@ pub fn kernel_speedup_cell(
             .map(|m| m.gflops)
     };
     let scalar = of("scalar")?;
-    let best = of("simd").or_else(|| of("unrolled"))?;
-    Some((scalar, best, best / scalar))
+    let simd = of("simd")?;
+    Some((scalar, simd, simd / scalar))
 }
 
 /// One measured cell of the stealing-granularity comparison on the
@@ -1156,10 +1136,6 @@ pub fn measure_zipf_chunk_range(
     let segment_unit_rows = granularity_unit_rows(&table, StealGranularity::Segment);
     let chunk_range_unit_rows = granularity_unit_rows(&table, StealGranularity::ChunkRange);
 
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     // Pin the worker count so wall clock compares like with like.
     let saved = std::env::var("MADLIB_THREADS").ok();
     std::env::set_var("MADLIB_THREADS", workers.to_string());
@@ -1354,10 +1330,6 @@ pub fn measure_predict(
         .expect("scoring generated data cannot fail");
     assert_eq!(chunked, by_rows, "chunked scoring diverged from row mode");
 
-    let median = |mut times: Vec<Duration>| -> Duration {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let per_row_loop = median(
         (0..samples)
             .map(|_| measure_predict_row_loop(&table, &model))
@@ -1388,7 +1360,7 @@ pub fn measure_predict(
 /// rows scored per second.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictKernelMeasurement {
-    /// Dispatch tier measured: `"scalar"`, `"unrolled"` or `"simd"`.
+    /// Dispatch tier measured: `"scalar"` or `"simd"`.
     pub tier: &'static str,
     /// Feature-vector width.
     pub width: usize,
@@ -1408,7 +1380,7 @@ pub struct PredictKernelMeasurement {
 /// # Panics
 /// Panics when `samples == 0` or `width == 0`.
 pub fn measure_predict_kernel_tiers(width: usize, samples: usize) -> Vec<PredictKernelMeasurement> {
-    use madlib_linalg::kernels::{scalar, simd, unrolled};
+    use madlib_linalg::kernels::{scalar, simd};
     assert!(samples > 0, "need at least one sample");
     assert!(width > 0, "need a positive width");
     let rows = (4_000_000 / width).clamp(1_024, 65_536);
@@ -1418,28 +1390,27 @@ pub fn measure_predict_kernel_tiers(width: usize, samples: usize) -> Vec<Predict
     // Enough repetitions per timed region to outlast timer resolution.
     let reps = (2_000_000 / rows).max(4);
     let mut measurements = Vec::new();
-    for tier in ["scalar", "unrolled", "simd"] {
+    for tier in ["scalar", "simd"] {
         if tier == "simd" && !simd::available() {
             continue;
         }
         let call = |out: &mut [f64]| match tier {
             "scalar" => scalar::batch_dot(&xs, &coef, out),
-            "unrolled" => unrolled::batch_dot(&xs, &coef, out),
             _ => simd::batch_dot(&xs, &coef, out),
         };
         call(&mut out); // warm up
-        let mut times: Vec<Duration> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..reps {
-                    call(&mut out);
-                    black_box(out.first());
-                }
-                start.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let elapsed = times[times.len() / 2];
+        let elapsed = median(
+            (0..samples)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..reps {
+                        call(&mut out);
+                        black_box(out.first());
+                    }
+                    start.elapsed()
+                })
+                .collect(),
+        );
         measurements.push(PredictKernelMeasurement {
             tier,
             width,
@@ -1718,17 +1689,18 @@ mod tests {
     #[test]
     fn kernel_sweep_measures_every_tier() {
         let measurements = measure_kernel_tiers(&[8], 1e6, 1);
-        let tiers = if madlib_linalg::kernels::simd::available() {
-            3
-        } else {
-            2
-        };
+        let has_simd = madlib_linalg::kernels::simd::available();
+        let tiers = if has_simd { 2 } else { 1 };
         assert_eq!(measurements.len(), 8 * tiers);
         assert!(measurements.iter().all(|m| m.gflops > 0.0));
         assert!(measurements.iter().all(|m| m.elapsed.as_nanos() > 0));
-        let (scalar, best, ratio) =
-            kernel_speedup_cell(&measurements, "rank_k_update_lower", 8).unwrap();
-        assert!(scalar > 0.0 && best > 0.0 && ratio > 0.0);
+        let cell = kernel_speedup_cell(&measurements, "rank_k_update_lower", 8);
+        if has_simd {
+            let (scalar, simd, ratio) = cell.expect("both tiers measured");
+            assert!(scalar > 0.0 && simd > 0.0 && ratio > 0.0);
+        } else {
+            assert!(cell.is_none(), "no SIMD tier to compare against");
+        }
         assert!(kernel_speedup_cell(&measurements, "no_such_kernel", 8).is_none());
     }
 
@@ -1758,9 +1730,9 @@ mod tests {
 
         let tiers = measure_predict_kernel_tiers(8, 1);
         let expected = if madlib_linalg::kernels::simd::available() {
-            3
-        } else {
             2
+        } else {
+            1
         };
         assert_eq!(tiers.len(), expected);
         assert!(tiers.iter().all(|t| t.mrows_per_sec > 0.0));

@@ -1,23 +1,21 @@
 //! Runtime kernel-dispatch policy: which tier the public kernels execute.
 //!
-//! Three tiers exist (see the [`super`] module docs): `scalar` (the
-//! reference), `unrolled` (portable 4-way lane arrays) and `simd` (explicit
-//! AVX2).  The default policy picks the SIMD tier when the CPU supports AVX2
-//! and the portable-unrolled tier otherwise; the `MADLIB_SIMD` environment
-//! variable overrides it:
+//! Two tiers exist (see the [`super`] module docs): `scalar` (the reference)
+//! and `simd` (explicit AVX2).  The default policy picks the SIMD tier when
+//! the CPU supports AVX2 and the scalar tier otherwise; the `MADLIB_SIMD`
+//! environment variable overrides it:
 //!
-//! | value                                    | effect                      |
-//! |------------------------------------------|-----------------------------|
+//! | value                                         | effect                      |
+//! |-----------------------------------------------|-----------------------------|
 //! | unset / `on` / `1` / `true` / `auto` / `simd` | runtime detection (default) |
-//! | `off` / `0` / `false` / `portable` / `unrolled` | force the portable tier |
-//! | `scalar`                                 | force the scalar reference  |
+//! | `off` / `0` / `false` / `scalar`              | force the scalar reference  |
 //!
 //! An unrecognized value logs a warning to stderr (once) and falls back to
 //! runtime detection, mirroring how `MADLIB_THREADS` treats garbage input —
 //! silent acceptance of a typo like `MADLIB_SIMD=offf` would quietly benchmark
 //! the wrong tier.
 //!
-//! Because every tier is bit-identical (property-tested; NaN payloads
+//! Because both tiers are bit-identical (property-tested; NaN payloads
 //! excepted — see the accumulation-order contract in the parent module),
 //! the policy choice affects *throughput only*, never results — which is
 //! exactly what makes the escape hatch safe to flip in CI.
@@ -29,21 +27,15 @@ use std::sync::OnceLock;
 pub enum KernelPath {
     /// Reference implementation; sequential loops, autovectorizer only.
     Scalar,
-    /// Portable manually 4-way-unrolled lane-array kernels.
-    Unrolled,
     /// Explicit AVX2 (`core::arch::x86_64`) kernels.
     Simd,
 }
 
 impl KernelPath {
-    /// All tiers, slowest first.
-    pub const ALL: [KernelPath; 3] = [KernelPath::Scalar, KernelPath::Unrolled, KernelPath::Simd];
-
     /// Stable lowercase label (used in bench metadata and logs).
     pub fn label(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Unrolled => "unrolled",
             KernelPath::Simd => "simd",
         }
     }
@@ -54,9 +46,7 @@ impl KernelPath {
 pub enum SimdPolicy {
     /// Use the SIMD tier when the CPU supports it (the default).
     Auto,
-    /// Force the portable-unrolled tier (`MADLIB_SIMD=off`).
-    ForceUnrolled,
-    /// Force the scalar reference tier (`MADLIB_SIMD=scalar`).
+    /// Force the scalar reference tier (`MADLIB_SIMD=off` or `scalar`).
     ForceScalar,
 }
 
@@ -69,8 +59,7 @@ pub fn simd_policy_from(env_override: Option<&str>) -> (SimdPolicy, Option<Strin
         return (SimdPolicy::Auto, None);
     };
     match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" | "portable" | "unrolled" => (SimdPolicy::ForceUnrolled, None),
-        "scalar" => (SimdPolicy::ForceScalar, None),
+        "off" | "0" | "false" | "scalar" => (SimdPolicy::ForceScalar, None),
         "on" | "1" | "true" | "auto" | "simd" => (SimdPolicy::Auto, None),
         _ => (
             SimdPolicy::Auto,
@@ -86,12 +75,11 @@ pub fn simd_policy_from(env_override: Option<&str>) -> (SimdPolicy, Option<Strin
 pub fn resolve(policy: SimdPolicy) -> KernelPath {
     match policy {
         SimdPolicy::ForceScalar => KernelPath::Scalar,
-        SimdPolicy::ForceUnrolled => KernelPath::Unrolled,
         SimdPolicy::Auto => {
             if super::simd::available() {
                 KernelPath::Simd
             } else {
-                KernelPath::Unrolled
+                KernelPath::Scalar
             }
         }
     }
@@ -151,11 +139,9 @@ mod tests {
     #[test]
     fn valid_values_parse_without_warning() {
         for (raw, want) in [
-            ("off", SimdPolicy::ForceUnrolled),
-            ("0", SimdPolicy::ForceUnrolled),
-            ("FALSE", SimdPolicy::ForceUnrolled),
-            (" portable ", SimdPolicy::ForceUnrolled),
-            ("unrolled", SimdPolicy::ForceUnrolled),
+            ("off", SimdPolicy::ForceScalar),
+            ("0", SimdPolicy::ForceScalar),
+            (" FALSE ", SimdPolicy::ForceScalar),
             ("scalar", SimdPolicy::ForceScalar),
             ("SCALAR", SimdPolicy::ForceScalar),
             ("on", SimdPolicy::Auto),
@@ -173,7 +159,17 @@ mod tests {
 
     #[test]
     fn invalid_values_warn_and_fall_back_to_auto() {
-        for raw in ["offf", "", "yes please", "2", "-1", "avx512"] {
+        // `portable` and `unrolled` select no tier: they warn like any typo.
+        for raw in [
+            "offf",
+            "",
+            "yes please",
+            "2",
+            "-1",
+            "avx512",
+            "portable",
+            "unrolled",
+        ] {
             let (policy, warning) = simd_policy_from(Some(raw));
             assert_eq!(policy, SimdPolicy::Auto, "raw={raw:?}");
             let warning = warning.unwrap_or_else(|| panic!("raw={raw:?} should warn"));
@@ -184,19 +180,29 @@ mod tests {
     #[test]
     fn resolve_honors_forced_tiers_and_detection() {
         assert_eq!(resolve(SimdPolicy::ForceScalar), KernelPath::Scalar);
-        assert_eq!(resolve(SimdPolicy::ForceUnrolled), KernelPath::Unrolled);
         let auto = resolve(SimdPolicy::Auto);
         if super::super::simd::available() {
             assert_eq!(auto, KernelPath::Simd);
         } else {
-            assert_eq!(auto, KernelPath::Unrolled);
+            assert_eq!(auto, KernelPath::Scalar);
+        }
+    }
+
+    /// The cached process-wide path is exactly what the parser and resolver
+    /// make of this process's `MADLIB_SIMD`.  CI runs the suite once with it
+    /// unset and once with `MADLIB_SIMD=off`, which must pin the scalar tier.
+    #[test]
+    fn active_path_follows_madlib_simd() {
+        let raw = std::env::var("MADLIB_SIMD").ok();
+        assert_eq!(active_path(), resolve(simd_policy_from(raw.as_deref()).0));
+        if raw.as_deref().map(str::trim) == Some("off") {
+            assert_eq!(active_path(), KernelPath::Scalar);
         }
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(KernelPath::Scalar.label(), "scalar");
-        assert_eq!(KernelPath::Unrolled.label(), "unrolled");
         assert_eq!(KernelPath::Simd.label(), "simd");
     }
 }

@@ -26,20 +26,21 @@
 //! The engine's vectorized execution path hands transition functions a whole
 //! chunk of rows as one contiguous row-major block (`rows × width` values);
 //! the batched kernels here are the chunk-granularity counterparts of the
-//! per-row updates.  Each batched kernel exists in three implementations:
+//! per-row updates.  Each batched kernel exists in two implementations:
 //!
 //! * [`scalar`] — the reference: sequential loops, autovectorizer only.
-//! * [`unrolled`] — portable, manually 4-way-unrolled lane arrays.
-//! * [`simd`] — explicit AVX2 intrinsics (x86-64, runtime-detected).
+//!   Hosts without AVX2 run it.
+//! * [`simd`] — explicit AVX2 intrinsics (x86-64, runtime-detected): the
+//!   fast path.
 //!
 //! The public functions dispatch through [`dispatch::active_path`], which
 //! resolves once per process from runtime CPU detection and the
-//! `MADLIB_SIMD` escape hatch (`off` forces the portable tier, `scalar` the
-//! reference tier — see [`dispatch`]).
+//! `MADLIB_SIMD` escape hatch (`off` forces the scalar reference tier — see
+//! [`dispatch`]).
 //!
 //! # The accumulation-order contract
 //!
-//! All three tiers are **bit-identical**, to each other and to folding rows
+//! Both tiers are **bit-identical**, to each other and to folding rows
 //! one at a time through the per-row kernels.  That is a hard engine-wide
 //! contract: the row/chunk-equivalence property tests require
 //! `transition_chunk` ≡ per-row `transition` to the bit, and the scheduler
@@ -82,7 +83,6 @@ use crate::dense::DenseMatrix;
 pub mod dispatch;
 pub mod scalar;
 pub mod simd;
-pub mod unrolled;
 
 pub use dispatch::{active_path, cpu_features, KernelPath};
 
@@ -202,7 +202,6 @@ fn rank1_lower_triangular(m: &mut DenseMatrix, x: &[f64]) {
 pub fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize) {
     match active_path() {
         KernelPath::Scalar => scalar::rank_k_update_lower(m, xs, width),
-        KernelPath::Unrolled => unrolled::rank_k_update_lower(m, xs, width),
         KernelPath::Simd => simd::rank_k_update_lower(m, xs, width),
     }
 }
@@ -222,7 +221,6 @@ pub fn weighted_rank_k_update_lower(
 ) {
     match active_path() {
         KernelPath::Scalar => scalar::weighted_rank_k_update_lower(m, xs, weights, width),
-        KernelPath::Unrolled => unrolled::weighted_rank_k_update_lower(m, xs, weights, width),
         KernelPath::Simd => simd::weighted_rank_k_update_lower(m, xs, weights, width),
     }
 }
@@ -236,7 +234,6 @@ pub fn weighted_rank_k_update_lower(
 pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
     match active_path() {
         KernelPath::Scalar => scalar::xty_update(acc, xs, ys, width),
-        KernelPath::Unrolled => unrolled::xty_update(acc, xs, ys, width),
         KernelPath::Simd => simd::xty_update(acc, xs, ys, width),
     }
 }
@@ -252,7 +249,6 @@ pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
 pub fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_dot(xs, w, out),
-        KernelPath::Unrolled => unrolled::batch_dot(xs, w, out),
         KernelPath::Simd => simd::batch_dot(xs, w, out),
     }
 }
@@ -267,7 +263,6 @@ pub fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]) {
 pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_squared_distances(xs, center, out),
-        KernelPath::Unrolled => unrolled::batch_squared_distances(xs, center, out),
         KernelPath::Simd => simd::batch_squared_distances(xs, center, out),
     }
 }
@@ -286,7 +281,6 @@ pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
 pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_closest_column(columns, xs, width, out),
-        KernelPath::Unrolled => unrolled::batch_closest_column(columns, xs, width, out),
         KernelPath::Simd => simd::batch_closest_column(columns, xs, width, out),
     }
 }
@@ -299,7 +293,7 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> crate::Result<DenseMatrix> {
 }
 
 /// Accumulates `out += A * B` (dense GEMM) without allocating, dispatched per
-/// [`dispatch::active_path`].  Every tier preserves the historical
+/// [`dispatch::active_path`].  Both tiers preserve the historical
 /// `DenseMatrix::matmul` semantics: per output element the `k` contributions
 /// are added in ascending order, and `a[i][k] == 0.0` entries are *skipped*
 /// rather than multiplied through (observable with NaN/±∞ in `B` and with
@@ -310,7 +304,6 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> crate::Result<DenseMatrix> {
 pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
     match active_path() {
         KernelPath::Scalar => scalar::gemm_acc(out, a, b),
-        KernelPath::Unrolled => unrolled::gemm_acc(out, a, b),
         KernelPath::Simd => simd::gemm_acc(out, a, b),
     }
 }
@@ -323,7 +316,6 @@ pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
 pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::gemv_acc(alpha, a, x, y),
-        KernelPath::Unrolled => unrolled::gemv_acc(alpha, a, x, y),
         KernelPath::Simd => simd::gemv_acc(alpha, a, x, y),
     }
 }

@@ -1,18 +1,19 @@
-//! Scalar-reference tier: the portable, un-unrolled batched kernels.
+//! Scalar-reference tier: the portable batched kernels.
 //!
 //! These are the original (pre-dispatch) implementations, kept verbatim as
-//! the semantic reference every other tier must match **bit for bit**.  The
+//! the semantic reference the SIMD tier must match **bit for bit**.  The
 //! rank-k update tiles the accumulator (`ROW_BLOCK` × `TILE`) for cache
 //! locality but leaves vectorization entirely to the compiler; the reduction
 //! kernels (`batch_dot`, `batch_squared_distances`, `gemv_acc`,
 //! `batch_closest_column`) are straight sequential loops, which the
 //! autovectorizer *cannot* vectorize without reassociating the accumulation
-//! — exactly the gap the unrolled and SIMD tiers close by vectorizing across
-//! independent outputs instead.
+//! — exactly the gap the SIMD tier closes by vectorizing across independent
+//! outputs instead.
 //!
-//! The benchmark harness addresses this tier directly (`repro kernels`), so
-//! speedups reported for the other tiers are measured against the kernels as
-//! they shipped before explicit SIMD dispatch existed.
+//! This is also the tier every host without AVX2 runs, and the one
+//! `MADLIB_SIMD=off` selects.  The benchmark harness addresses it directly
+//! (`repro kernels`), so speedups reported for the SIMD tier are measured
+//! against the kernels as they shipped before explicit SIMD dispatch existed.
 
 use crate::dense::DenseMatrix;
 

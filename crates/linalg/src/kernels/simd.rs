@@ -12,14 +12,15 @@
 //!   intermediate rounding of `a * b` and would silently diverge from the
 //!   scalar formulation — breaking the engine-wide `transition_chunk` ≡
 //!   per-row bit-identity contract.
-//! * Remainder rows/columns reuse the portable tier's code paths verbatim.
+//! * Remainder rows/columns run the scalar formula per element, in the same
+//!   row order as the scalar tier.
 //!
 //! The only `unsafe` in the crate lives in this module: raw loads/stores
 //! whose bounds are established by the surrounding loop conditions, and
 //! `#[target_feature(enable = "avx2")]` functions that are only reachable
 //! after [`available`] has confirmed CPU support at runtime.
 //!
-//! On non-x86_64 targets this module re-exports the portable tier so the
+//! On non-x86_64 targets this module re-exports the scalar tier so the
 //! crate still compiles; the dispatcher never selects the SIMD path there.
 
 /// Whether the explicit SIMD tier can run on this machine.
@@ -41,7 +42,7 @@ pub use x86::{
 };
 
 #[cfg(not(target_arch = "x86_64"))]
-pub use super::unrolled::{
+pub use super::scalar::{
     batch_closest_column, batch_dot, batch_squared_distances, gemm_acc, gemv_acc,
     rank_k_update_lower, weighted_rank_k_update_lower, xty_update,
 };
@@ -57,7 +58,6 @@ mod x86 {
 
     use crate::dense::DenseMatrix;
     use crate::kernels::scalar::ROW_BLOCK;
-    use crate::kernels::unrolled;
 
     use super::available;
 
@@ -110,7 +110,7 @@ mod x86 {
     }
 
     /// One row block of the rank-k update: 4-row strips, 4×8 register tiles
-    /// (with a 4×4 cleanup tile), diagonal remainder via the portable tier.
+    /// (with a 4×4 cleanup tile), diagonal remainder via [`rank_k_edge`].
     #[target_feature(enable = "avx2")]
     unsafe fn rank_k_block_avx2(
         md: &mut [f64],
@@ -133,11 +133,43 @@ mod x86 {
                 if j0 + 4 <= j_full {
                     rank_k_tile::<1>(md, block, width, i0, j0, weights);
                 }
-                unrolled::rank_k_edge(md, block, width, i0, i_end, j_full, weights);
+                rank_k_edge(md, block, width, i0, i_end, j_full, weights);
             } else {
-                unrolled::rank_k_edge(md, block, width, i0, i_end, 0, weights);
+                rank_k_edge(md, block, width, i0, i_end, 0, weights);
             }
             i0 += 4;
+        }
+    }
+
+    /// The tile remainder: rows `i0..i_end`, columns `j_lo..=i` (the part of
+    /// the strip the full tiles could not cover).  Element-major with the row
+    /// loop innermost — each element's additions still happen in row order.
+    fn rank_k_edge(
+        md: &mut [f64],
+        block: &[f64],
+        width: usize,
+        i0: usize,
+        i_end: usize,
+        j_lo: usize,
+        weights: Option<&[f64]>,
+    ) {
+        for i in i0..i_end {
+            for j in j_lo..=i {
+                let mut acc = md[i * width + j];
+                match weights {
+                    None => {
+                        for x in block.chunks_exact(width) {
+                            acc += x[i] * x[j];
+                        }
+                    }
+                    Some(w) => {
+                        for (x, wr) in block.chunks_exact(width).zip(w) {
+                            acc += (wr * x[i]) * x[j];
+                        }
+                    }
+                }
+                md[i * width + j] = acc;
+            }
         }
     }
 

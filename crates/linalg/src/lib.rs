@@ -16,10 +16,13 @@
 //!   with the vector/matrix operations the method library needs.
 //! * [`kernels`]: the performance-critical inner-loop routines, provided in
 //!   three *generations* mirroring MADlib v0.1alpha, v0.2.1beta and v0.3
-//!   (see the paper's Figure 4 discussion).  The benchmark harness uses these
-//!   to regenerate the version-comparison experiment.
-//! * [`decomposition`]: Cholesky, LU, symmetric Jacobi eigendecomposition and
-//!   a Moore–Penrose pseudo-inverse built on it (the paper's final step of
+//!   (see the paper's Figure 4 discussion), plus the batched chunk kernels in
+//!   two bit-identical dispatch tiers (scalar reference and AVX2).  The
+//!   benchmark harness uses these to regenerate the version-comparison
+//!   experiment.
+//! * [`decomposition`]: Cholesky, LU, a symmetric eigendecomposition
+//!   (Householder tridiagonalization plus implicit-shift QL) and a
+//!   Moore–Penrose pseudo-inverse built on it (the paper's final step of
 //!   linear regression uses exactly such a pseudo-inverse of `XᵀX`).
 //! * [`sparse`]: a run-length-encoded sparse vector, matching the MADlib
 //!   sparse-vector support module.

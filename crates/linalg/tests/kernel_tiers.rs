@@ -1,14 +1,14 @@
 //! Bit-identity tests across the batched-kernel dispatch tiers.
 //!
-//! Every batched kernel ships three implementations — `scalar` (the
-//! reference), `unrolled` (portable 4-way lanes) and `simd` (AVX2) — and
-//! the engine's correctness contracts assume they are interchangeable to
-//! the bit.  These tests sweep widths that are *not* multiples of the SIMD
-//! lane count (tails), degenerate shapes (width 0 and 1, zero rows), and
-//! inputs salted with NaN, ±0.0 and ±∞, asserting exact `to_bits` equality
-//! between the tiers for every kernel.  The SIMD tier is exercised only
-//! when the host supports it ([`simd::available`]); the scalar/unrolled
-//! comparison runs everywhere.
+//! Every batched kernel ships two implementations — `scalar` (the
+//! reference) and `simd` (AVX2) — and the engine's correctness contracts
+//! assume they are interchangeable to the bit.  These tests sweep widths
+//! that are *not* multiples of the SIMD lane count (tails), degenerate
+//! shapes (width 0 and 1, zero rows), and inputs salted with NaN, ±0.0 and
+//! ±∞, asserting exact `to_bits` equality between the tiers for every
+//! kernel.  The SIMD tier is exercised only when the host supports it
+//! ([`simd::available`]); without AVX2 these tests check nothing beyond the
+//! scalar kernels running.
 //!
 //! One deliberate subtlety: the NaN used for salting is the *hardware
 //! generated* quiet NaN (`0.0 * ∞`, `0xFFF8…` on x86) rather than the
@@ -23,7 +23,7 @@
 //! NaN in the test bit-identical, so commutation is unobservable and the
 //! assertions can stay exact — including *where* NaNs appear.
 
-use madlib_linalg::kernels::{scalar, simd, unrolled};
+use madlib_linalg::kernels::{scalar, simd};
 use madlib_linalg::DenseMatrix;
 use std::hint::black_box;
 
@@ -41,7 +41,7 @@ fn generated_nan() -> f64 {
 const WIDTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 17, 40, 65, 70];
 
 /// Row counts straddling the 64-row blocks and the 4- and 8-row strips of
-/// the unrolled/SIMD reduction kernels.
+/// the SIMD reduction kernels.
 const ROWS: [usize; 8] = [0, 1, 2, 3, 5, 9, 64, 130];
 
 /// Deterministic pseudo-random values in [-2, 2), salted with the IEEE
@@ -94,16 +94,9 @@ fn assert_bits_eq(a: &[f64], b: &[f64], context: &str) {
 fn check_matrix_kernel(context: &str, seed_out: &DenseMatrix, f: impl Fn(&mut DenseMatrix, u8)) {
     let mut reference = seed_out.clone();
     f(&mut reference, 0);
-    let mut portable = seed_out.clone();
-    f(&mut portable, 1);
-    assert_bits_eq(
-        reference.as_slice(),
-        portable.as_slice(),
-        &format!("{context} (unrolled)"),
-    );
     if simd::available() {
         let mut vectored = seed_out.clone();
-        f(&mut vectored, 2);
+        f(&mut vectored, 1);
         assert_bits_eq(
             reference.as_slice(),
             vectored.as_slice(),
@@ -125,7 +118,6 @@ fn rank_k_update_lower_tiers_agree() {
             let context = format!("rank_k rows={rows} width={width}");
             check_matrix_kernel(&context, &seed, |m, tier| match tier {
                 0 => scalar::rank_k_update_lower(m, &xs, width),
-                1 => unrolled::rank_k_update_lower(m, &xs, width),
                 _ => simd::rank_k_update_lower(m, &xs, width),
             });
         }
@@ -144,7 +136,6 @@ fn weighted_rank_k_update_lower_tiers_agree() {
             let context = format!("weighted_rank_k rows={rows} width={width}");
             check_matrix_kernel(&context, &seed, |m, tier| match tier {
                 0 => scalar::weighted_rank_k_update_lower(m, &xs, &weights, width),
-                1 => unrolled::weighted_rank_k_update_lower(m, &xs, &weights, width),
                 _ => simd::weighted_rank_k_update_lower(m, &xs, &weights, width),
             });
         }
@@ -160,10 +151,7 @@ fn xty_update_tiers_agree() {
             let seed = finite_data(width, 17);
             let mut reference = seed.clone();
             scalar::xty_update(&mut reference, &xs, &ys, width);
-            let mut portable = seed.clone();
-            unrolled::xty_update(&mut portable, &xs, &ys, width);
             let context = format!("xty rows={rows} width={width}");
-            assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
             if simd::available() {
                 let mut vectored = seed.clone();
                 simd::xty_update(&mut vectored, &xs, &ys, width);
@@ -182,9 +170,6 @@ fn batch_dot_tiers_agree() {
             let context = format!("batch_dot rows={rows} width={width}");
             let mut reference = vec![0.5; rows];
             scalar::batch_dot(&xs, &w, &mut reference);
-            let mut portable = vec![0.5; rows];
-            unrolled::batch_dot(&xs, &w, &mut portable);
-            assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
             if simd::available() {
                 let mut vectored = vec![0.5; rows];
                 simd::batch_dot(&xs, &w, &mut vectored);
@@ -203,9 +188,6 @@ fn batch_squared_distances_tiers_agree() {
             let context = format!("batch_distances rows={rows} width={width}");
             let mut reference = vec![0.5; rows];
             scalar::batch_squared_distances(&xs, &center, &mut reference);
-            let mut portable = vec![0.5; rows];
-            unrolled::batch_squared_distances(&xs, &center, &mut portable);
-            assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
             if simd::available() {
                 let mut vectored = vec![0.5; rows];
                 simd::batch_squared_distances(&xs, &center, &mut vectored);
@@ -238,9 +220,6 @@ fn batch_closest_column_tiers_agree() {
                     format!("batch_closest rows={rows} width={width} columns={num_columns}");
                 let mut reference = vec![usize::MAX; rows];
                 scalar::batch_closest_column(&columns, &xs, width, &mut reference);
-                let mut portable = vec![usize::MAX; rows];
-                unrolled::batch_closest_column(&columns, &xs, width, &mut portable);
-                assert_eq!(reference, portable, "{context} (unrolled)");
                 if simd::available() {
                     let mut vectored = vec![usize::MAX; rows];
                     simd::batch_closest_column(&columns, &xs, width, &mut vectored);
@@ -262,9 +241,6 @@ fn gemv_acc_tiers_agree() {
                 let context = format!("gemv rows={rows} cols={cols} alpha={alpha}");
                 let mut reference = seed.clone();
                 scalar::gemv_acc(alpha, &a, &x, &mut reference);
-                let mut portable = seed.clone();
-                unrolled::gemv_acc(alpha, &a, &x, &mut portable);
-                assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
                 if simd::available() {
                     let mut vectored = seed.clone();
                     simd::gemv_acc(alpha, &a, &x, &mut vectored);
@@ -304,7 +280,6 @@ fn gemm_acc_tiers_agree() {
         let context = format!("gemm m={m} k={k} n={n}");
         check_matrix_kernel(&context, &seed, |out, tier| match tier {
             0 => scalar::gemm_acc(out, &a, &b),
-            1 => unrolled::gemm_acc(out, &a, &b),
             _ => simd::gemm_acc(out, &a, &b),
         });
     }

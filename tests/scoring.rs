@@ -3,9 +3,10 @@
 //! `Dataset::score` promises that running prediction as a chunked,
 //! work-stealing scan pass — vectorized `predict_batch` overrides riding the
 //! batched kernel tiers — is **bit-identical** to the naive per-row
-//! `predict` loop, under both execution modes, every `MADLIB_SIMD` tier (CI
-//! re-runs this suite with `MADLIB_SIMD=off MADLIB_THREADS=1`), NULL-bearing
-//! and empty chunks, and filtered scans.  Grouped (catalog-routed) scoring
+//! `predict` loop, under both execution modes, both kernel tiers (CI re-runs
+//! this suite with `MADLIB_SIMD=off MADLIB_THREADS=1`, which pins the scalar
+//! reference tier on one worker), NULL-bearing and empty chunks, and
+//! filtered scans.  Grouped (catalog-routed) scoring
 //! promises bit-identity to filtering each group out and scoring it with its
 //! own model, including composite NULL/NaN/`-0.0` keys.  These tests enforce
 //! both promises over randomized data, plus the catalog's typed error
