@@ -854,48 +854,6 @@ fn grouped(full: bool, smoke: bool) {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     );
 
-    println!(
-        "\n== Stealing granularity on the hot segment: whole-segment vs chunk-range units ==\n"
-    );
-    // Few Zipf tenants, so the top group alone (~37% of the rows under
-    // Zipf(1) with 8 ranks) outweighs a worker's ideal 1/4 share: whole-
-    // segment stealing is then bounded by the hot segment no matter how the
-    // other segments are packed, while chunk-range units split it.
-    let (cr_groups, cr_segments, cr_workers) = if smoke { (8, 4, 2) } else { (8, 8, 4) };
-    let chunk_range = madlib_bench::measure_zipf_chunk_range(
-        rows,
-        variables,
-        cr_groups,
-        cr_segments,
-        samples,
-        cr_workers,
-    );
-    println!(
-        "{:>8}  {:>8}  {:>10}  {:>10}  {:>14}  {:>14}  {:>13}",
-        "# segs",
-        "workers",
-        "seg units",
-        "cr units",
-        "seg makespan",
-        "cr makespan",
-        "makespan gain"
-    );
-    println!(
-        "{:>8}  {:>8}  {:>10}  {:>10}  {:>14}  {:>14}  {:>12.2}x",
-        chunk_range.segments,
-        chunk_range.workers,
-        chunk_range.segment_units,
-        chunk_range.chunk_range_units,
-        chunk_range.segment_makespan_rows,
-        chunk_range.chunk_range_makespan_rows,
-        chunk_range.makespan_ratio(),
-    );
-    println!(
-        "(grouped linregr scan wall clock: segment-granular {:.4}s, chunk-range {:.4}s;\n parallel chunk-range output verified bit-identical to the serial run)",
-        chunk_range.segment_granular.as_secs_f64(),
-        chunk_range.chunk_range.as_secs_f64(),
-    );
-
     if smoke {
         let zt = madlib_bench::measure_grouped_training_zipf(
             rows,
@@ -952,22 +910,6 @@ fn grouped(full: bool, smoke: bool) {
         zipf.striped_makespan_rows,
         zipf.stealing_makespan_rows,
         zipf.makespan_ratio(),
-    ));
-    json.push_str("  ],\n  \"steal_granularity_cells\": [\n");
-    json.push_str(&format!(
-        "    {{\"rows\": {}, \"variables\": {}, \"groups\": {}, \"segments\": {}, \"workers\": {}, \"segment_units\": {}, \"chunk_range_units\": {}, \"segment_makespan_rows\": {}, \"chunk_range_makespan_rows\": {}, \"makespan_ratio\": {:.4}, \"segment_granular_s\": {:.6}, \"chunk_range_s\": {:.6}, \"parallel_matches_serial\": true}}\n",
-        chunk_range.rows,
-        chunk_range.variables,
-        chunk_range.groups,
-        chunk_range.segments,
-        chunk_range.workers,
-        chunk_range.segment_units,
-        chunk_range.chunk_range_units,
-        chunk_range.segment_makespan_rows,
-        chunk_range.chunk_range_makespan_rows,
-        chunk_range.makespan_ratio(),
-        chunk_range.segment_granular.as_secs_f64(),
-        chunk_range.chunk_range.as_secs_f64(),
     ));
     json.push_str("  ]\n}\n");
     match std::fs::write("BENCH_grouped.json", &json) {

@@ -1043,156 +1043,6 @@ pub fn kernel_speedup_cell(
     Some((scalar, simd, simd / scalar))
 }
 
-/// One measured cell of the stealing-granularity comparison on the
-/// Zipf-skewed multi-tenant shape: segment-granular stealing (a whole
-/// segment per work unit) against chunk-range stealing
-/// ([`madlib_engine::StealGranularity::ChunkRange`]), both running the
-/// grouped linregr scan.
-///
-/// As with [`ZipfScheduleMeasurement`], wall clock only tells the story on a
-/// host with at least `workers` cores; the simulated makespans — greedy list
-/// scheduling of the *actual* work-unit row counts each granularity
-/// produces — capture the scheduling difference deterministically anywhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkRangeScheduleMeasurement {
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of independent variables.
-    pub variables: usize,
-    /// Number of Zipf-ranked groups.
-    pub groups: usize,
-    /// Number of segments.
-    pub segments: usize,
-    /// Worker count both granularities ran (and were simulated) with.
-    pub workers: usize,
-    /// Work units at segment granularity (= number of segments).
-    pub segment_units: usize,
-    /// Work units at chunk-range granularity.
-    pub chunk_range_units: usize,
-    /// Simulated makespan (busiest worker's rows), segment granularity.
-    pub segment_makespan_rows: usize,
-    /// Simulated makespan (busiest worker's rows), chunk-range granularity.
-    pub chunk_range_makespan_rows: usize,
-    /// Median wall-clock time of the grouped scan, segment granularity.
-    pub segment_granular: Duration,
-    /// Median wall-clock time of the grouped scan, chunk-range granularity.
-    pub chunk_range: Duration,
-}
-
-impl ChunkRangeScheduleMeasurement {
-    /// Makespan advantage of chunk-range over segment granularity (>1 =
-    /// chunk-range better balanced; the wall-clock ratio a `workers`-core
-    /// host would approach).
-    pub fn makespan_ratio(&self) -> f64 {
-        self.segment_makespan_rows as f64 / self.chunk_range_makespan_rows.max(1) as f64
-    }
-
-    /// Wall-clock advantage of chunk-range over segment granularity.
-    pub fn wall_clock_ratio(&self) -> f64 {
-        self.segment_granular.as_secs_f64() / self.chunk_range.as_secs_f64()
-    }
-}
-
-/// Rows in each work unit the scan would schedule at `granularity`.
-fn granularity_unit_rows(
-    table: &Table,
-    granularity: madlib_engine::StealGranularity,
-) -> Vec<usize> {
-    madlib_engine::scan::chunk_range_units(table, granularity)
-        .iter()
-        .map(|unit| {
-            unit.chunks(table.segment(unit.segment))
-                .iter()
-                .map(|chunk| chunk.len())
-                .sum()
-        })
-        .collect()
-}
-
-/// Measures segment-granular vs chunk-range stealing on the Zipf-skewed
-/// grouped table: simulated `workers`-way makespans from each granularity's
-/// actual unit decomposition, wall-clock medians for the grouped linregr
-/// scan under each granularity, and a bit-identity check of the parallel
-/// chunk-range output against a serial run at the same granularity (per-group
-/// row counts and per-group `sum(y)` bits).
-///
-/// # Panics
-/// Panics when `samples == 0`, generation fails, or the parallel chunk-range
-/// scan diverges from the serial one.
-pub fn measure_zipf_chunk_range(
-    rows: usize,
-    variables: usize,
-    groups: usize,
-    segments: usize,
-    samples: usize,
-    workers: usize,
-) -> ChunkRangeScheduleMeasurement {
-    use madlib_engine::aggregate::SumAggregate;
-    use madlib_engine::StealGranularity;
-    assert!(samples > 0, "need at least one sample");
-    let table =
-        zipf_grouped_regression_table(rows, variables, groups, segments, 99 + groups as u64);
-
-    let segment_unit_rows = granularity_unit_rows(&table, StealGranularity::Segment);
-    let chunk_range_unit_rows = granularity_unit_rows(&table, StealGranularity::ChunkRange);
-
-    // Pin the worker count so wall clock compares like with like.
-    let saved = std::env::var("MADLIB_THREADS").ok();
-    std::env::set_var("MADLIB_THREADS", workers.to_string());
-    let timed = |granularity: StealGranularity| -> Vec<Duration> {
-        let executor = Executor::new().with_steal_granularity(granularity);
-        (0..samples)
-            .map(|_| measure_grouped_linregr_scan(&table, &executor, groups))
-            .collect()
-    };
-    let segment_times = timed(StealGranularity::Segment);
-    let chunk_range_times = timed(StealGranularity::ChunkRange);
-
-    // Output fidelity: the parallel chunk-range scan must match a serial run
-    // at the same granularity bit for bit (per-group counts and sum bits).
-    let grouped = |executor: Executor| {
-        let counts = Dataset::from_table(&table)
-            .with_executor(executor)
-            .group_by(["grp"])
-            .aggregate_per_group(&madlib_engine::aggregate::CountAggregate)
-            .expect("grouped count over generated data cannot fail");
-        let sums = Dataset::from_table(&table)
-            .with_executor(executor)
-            .group_by(["grp"])
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .expect("grouped sum over generated data cannot fail");
-        let sum_bits: Vec<(madlib_engine::GroupKey, u64)> = sums
-            .into_iter()
-            .map(|(key, sum)| (key, sum.to_bits()))
-            .collect();
-        (counts, sum_bits)
-    };
-    let parallel = grouped(Executor::new().with_steal_granularity(StealGranularity::ChunkRange));
-    let serial = grouped(Executor::serial().with_steal_granularity(StealGranularity::ChunkRange));
-    assert_eq!(
-        parallel, serial,
-        "parallel chunk-range scan diverged from the serial run"
-    );
-    match saved {
-        Some(value) => std::env::set_var("MADLIB_THREADS", value),
-        None => std::env::remove_var("MADLIB_THREADS"),
-    }
-
-    ChunkRangeScheduleMeasurement {
-        rows,
-        variables,
-        groups,
-        segments,
-        workers,
-        segment_units: segment_unit_rows.len(),
-        chunk_range_units: chunk_range_unit_rows.len(),
-        segment_makespan_rows: stealing_makespan(&segment_unit_rows, workers),
-        chunk_range_makespan_rows: stealing_makespan(&chunk_range_unit_rows, workers),
-        segment_granular: median(segment_times),
-        chunk_range: median(chunk_range_times),
-    }
-}
-
 /// One measured cell of the serving sweep: `Dataset::score` with the
 /// linear-regression dot-product scorer, chunked vs row-at-a-time execution,
 /// against the naive per-row predict loop a client would write without the
@@ -1702,20 +1552,6 @@ mod tests {
             assert!(cell.is_none(), "no SIMD tier to compare against");
         }
         assert!(kernel_speedup_cell(&measurements, "no_such_kernel", 8).is_none());
-    }
-
-    #[test]
-    fn zipf_chunk_range_measurement_is_consistent() {
-        let m = measure_zipf_chunk_range(4_000, 8, 32, 4, 1, 4);
-        // Chunk ranges can only refine the segment decomposition, and the
-        // greedy simulation can only improve (or tie) with finer units on
-        // this skewed shape.
-        assert!(m.chunk_range_units >= m.segment_units);
-        assert_eq!(m.segment_units, 4);
-        assert!(m.chunk_range_makespan_rows <= m.segment_makespan_rows);
-        assert!(m.makespan_ratio() >= 1.0);
-        assert!(m.segment_granular.as_nanos() > 0);
-        assert!(m.chunk_range.as_nanos() > 0);
     }
 
     #[test]

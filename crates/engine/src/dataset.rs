@@ -335,33 +335,16 @@ impl<'a> Dataset<'a> {
         let group_indices = group_indices.as_slice();
         let filter = self.filter.as_ref();
         let mode = self.executor.mode();
-        // Chunk-range stealing (when the executor opts in) spreads a hot
-        // segment's chunks across workers; per segment the ranges' group
-        // maps concatenate in range order, so each key's states still merge
-        // left-to-right in scan order at the coordinator below.
-        let granularity = match mode {
-            ExecutionMode::Chunked => self.executor.steal_granularity(),
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
-        let segment_results = scan::run_per_segment_ranged(
+        let segment_results = scan::run_per_segment(
             self.table(),
             self.executor.is_parallel(),
-            granularity,
-            |range, segment| match mode {
-                ExecutionMode::Chunked => run_segment_grouped_chunked(
-                    aggregate,
-                    range.chunks(segment),
-                    schema,
-                    group_indices,
-                    filter,
-                ),
+            |_, segment| match mode {
+                ExecutionMode::Chunked => {
+                    run_segment_grouped_chunked(aggregate, segment, schema, group_indices, filter)
+                }
                 ExecutionMode::RowAtATime => {
                     run_segment_grouped_rows(aggregate, segment, schema, group_indices, filter)
                 }
-            },
-            |mut left, right| {
-                left.extend(right);
-                left
             },
         );
 
@@ -424,7 +407,6 @@ impl<'a> Dataset<'a> {
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor.is_parallel(),
-            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let mut out = Vec::new();
                 scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {
@@ -667,7 +649,7 @@ fn flush_bucket<A: Aggregate>(
 
 fn run_segment_grouped_chunked<A: Aggregate>(
     aggregate: &A,
-    chunks: &[std::sync::Arc<RowChunk>],
+    segment: &Segment,
     schema: &Schema,
     group_indices: &[usize],
     filter: Option<&Predicate>,
@@ -696,7 +678,7 @@ fn run_segment_grouped_chunked<A: Aggregate>(
     // granularity (cleared inside `stage_chunk_rows`).
     let mut directory = BucketDirectory::default();
 
-    scan::scan_chunks(chunks, schema, filter, |batch| {
+    scan::scan_segment_chunks(segment, schema, filter, |batch| {
         let chunk = batch.chunk();
         let rows = chunk.len();
         let key_columns: Vec<&crate::chunk::ColumnChunk> =

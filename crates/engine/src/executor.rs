@@ -1,21 +1,23 @@
 //! Parallel segment executor with chunk-at-a-time (vectorized) scans.
 //!
-//! Runs user-defined aggregates over a partitioned [`Table`] with one worker
-//! per segment, mirroring Greenplum's "one query process per segment"
-//! execution model that the paper's Figure 4/5 evaluation sweeps over.
-//! The transition function streams over each segment locally; the resulting
-//! per-segment states are merged on the coordinating thread; and the final
-//! function produces the output.  Only the (small) transition states ever
-//! cross segment boundaries — the property the paper credits for its
+//! Runs user-defined aggregates over a partitioned [`Table`] with one
+//! transition state per segment, mirroring Greenplum's "one query process
+//! per segment" execution model that the paper's Figure 4/5 evaluation
+//! sweeps over.  Segments are claimed by `min(worker_count(), segments)`
+//! work-stealing workers ([`crate::scan::worker_count`]).  The transition
+//! function streams over each segment locally; the resulting per-segment
+//! states are merged on the coordinating thread in segment order; and the
+//! final function produces the output.  Only the (small) transition states
+//! ever cross segment boundaries — the property the paper credits for its
 //! near-linear parallel speedup.
 //!
 //! Every scan the executor issues — ungrouped aggregation and
 //! `parallel_map` projections — runs on the shared [`crate::scan`] pipeline:
-//! segments fan out to worker threads ([`crate::scan::run_per_segment`],
-//! which converts worker panics into [`EngineError::WorkerPanicked`]), and
-//! within a segment chunks stream through
-//! [`crate::scan::scan_segment_chunks`] with predicates hoisted to
-//! one [`crate::chunk::SelectionMask`] per chunk.
+//! segments (chunk ranges, for projections) fan out to worker threads
+//! ([`crate::scan::run_per_segment`] / [`crate::scan::run_per_segment_ranged`],
+//! which convert worker panics into [`EngineError::WorkerPanicked`]), and
+//! chunks stream through [`crate::scan::scan_chunks`] with predicates
+//! hoisted to one [`crate::chunk::SelectionMask`] per chunk.
 //! [`ExecutionMode::RowAtATime`] swaps the inner loop for the legacy per-row
 //! scan; results are identical by contract, and the benchmark harness sweeps
 //! both modes to reproduce the paper's Figure 4 "rewrite the inner loop"
@@ -44,7 +46,8 @@ pub struct ExecutionStats {
     pub rows_scanned: u64,
     /// Rows that passed the filter (equals `rows_scanned` when no filter).
     pub rows_aggregated: u64,
-    /// Number of segment workers used.
+    /// Number of segments in the scanned table (`table.num_segments()`),
+    /// not the number of worker threads.
     pub segments: usize,
 }
 
@@ -69,16 +72,17 @@ pub struct Executor {
     /// occasionally useful for debugging and for measuring parallel speedup.
     parallel: bool,
     mode: ExecutionMode,
-    steal: scan::StealGranularity,
 }
 
 impl Executor {
-    /// Creates a parallel, chunk-at-a-time executor (one worker per segment).
+    /// Creates a parallel, chunk-at-a-time executor.  Scans fan out to
+    /// `min(`[`scan::worker_count`]`(), units)` work-stealing workers, where a
+    /// unit is a segment for aggregates and a chunk range for projections
+    /// and scoring.
     pub fn new() -> Self {
         Self {
             parallel: true,
             mode: ExecutionMode::Chunked,
-            steal: scan::StealGranularity::Segment,
         }
     }
 
@@ -98,25 +102,6 @@ impl Executor {
         self
     }
 
-    /// Selects the work-stealing granularity for aggregate scans
-    /// ([`scan::StealGranularity::Segment`] by default).
-    ///
-    /// [`scan::StealGranularity::ChunkRange`] spreads one hot segment's
-    /// chunks across every worker, curing intra-segment skew, at the price
-    /// of a different (but still deterministic, worker-count-independent)
-    /// floating-point merge structure: per segment, the partial transition
-    /// states of each chunk range merge in range order via
-    /// [`Aggregate::merge`], which reassociates additions relative to the
-    /// whole-segment sequential fold.  Exact-arithmetic aggregates (counts,
-    /// integer-valued sums) are bit-identical either way; inexact ones agree
-    /// to merge-level rounding.  The granularity only affects the chunked
-    /// scan mode — [`ExecutionMode::RowAtATime`] always scans whole
-    /// segments.
-    pub fn with_steal_granularity(mut self, steal: scan::StealGranularity) -> Self {
-        self.steal = steal;
-        self
-    }
-
     /// Shorthand for a parallel executor using the legacy per-row scan.
     pub fn row_at_a_time() -> Self {
         Self::new().with_mode(ExecutionMode::RowAtATime)
@@ -132,19 +117,10 @@ impl Executor {
         self.mode
     }
 
-    /// The work-stealing granularity for aggregate scans.
+    /// The work-stealing granularity of aggregate scans: always
+    /// [`scan::StealGranularity::Segment`], one transition state per segment.
     pub fn steal_granularity(&self) -> scan::StealGranularity {
-        self.steal
-    }
-
-    /// The granularity actually used for a scan in `mode`: chunk-range
-    /// stealing only exists on the chunked path, so [`ExecutionMode::RowAtATime`]
-    /// always degrades to whole-segment units.
-    fn effective_granularity(&self, mode: ExecutionMode) -> scan::StealGranularity {
-        match mode {
-            ExecutionMode::Chunked => self.steal,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        }
+        scan::StealGranularity::Segment
     }
 
     /// Runs `aggregate` over every row of `table`, returning the finalized
@@ -170,23 +146,9 @@ impl Executor {
     ) -> Result<(A::Output, ExecutionStats)> {
         let schema = table.schema();
         let mode = self.mode;
-        let segment_results = scan::run_per_segment_ranged(
-            table,
-            self.parallel,
-            self.effective_granularity(mode),
-            |range, segment| {
-                Self::run_segment_range(aggregate, segment, range, schema, filter, mode)
-            },
-            |(left, left_stats), (right, right_stats)| {
-                (
-                    aggregate.merge(left, right),
-                    scan::SegmentScanStats {
-                        rows_scanned: left_stats.rows_scanned + right_stats.rows_scanned,
-                        rows_passed: left_stats.rows_passed + right_stats.rows_passed,
-                    },
-                )
-            },
-        );
+        let segment_results = scan::run_per_segment(table, self.parallel, |_, segment| {
+            Self::run_segment(aggregate, segment, schema, filter, mode)
+        });
 
         let mut merged: Option<A::State> = None;
         let mut stats = ExecutionStats {
@@ -207,10 +169,9 @@ impl Executor {
         Ok((aggregate.finalize(state)?, stats))
     }
 
-    fn run_segment_range<A: Aggregate>(
+    fn run_segment<A: Aggregate>(
         aggregate: &A,
         segment: &Segment,
-        range: scan::ChunkRange,
         schema: &Schema,
         filter: Option<&Predicate>,
         mode: ExecutionMode,
@@ -218,13 +179,10 @@ impl Executor {
         let mut state = aggregate.initial_state();
         let stats = match mode {
             ExecutionMode::Chunked => {
-                scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {
+                scan::scan_segment_chunks(segment, schema, filter, |batch| {
                     aggregate.transition_chunk(&mut state, batch.chunk(), schema)
                 })?
             }
-            // Row-at-a-time scans run at Segment granularity only (see
-            // `effective_granularity`), so the range always covers the
-            // whole segment here.
             ExecutionMode::RowAtATime => scan::scan_segment_rows(segment, schema, filter, |row| {
                 aggregate.transition(&mut state, row, schema)
             })?,

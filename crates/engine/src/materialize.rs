@@ -27,18 +27,15 @@
 //!    therefore bit-identical to one whole-chunk call — so absorbing a
 //!    then-open tail chunk in several installments matches the batch scan
 //!    that sees it sealed.
-//! 2. The per-segment unit decomposition mirrors
-//!    [`scan::chunk_range_units`]: one state per segment at
-//!    [`StealGranularity::Segment`] (the default), one state per
-//!    [`scan::CHUNKS_PER_UNIT`]-chunk run at
-//!    [`StealGranularity::ChunkRange`].  Unit boundaries are aligned from
-//!    chunk 0 and never move under append — only the last unit grows.
-//! 3. Finalize replays the executor's exact merge structure: per segment,
-//!    unit states fold left-to-right in range order; the per-segment states
-//!    then fold left-to-right in segment order (grouped states fold flat per
-//!    key in (segment, unit, first-appearance) order, matching the grouped
-//!    coordinator), and empty segments contribute `initial_state()` exactly
-//!    where the batch scan does.
+//! 2. The view keeps one state per segment, as every aggregate scan does
+//!    ([`crate::scan::run_per_segment`]): an ungrouped segment's state
+//!    starts at `initial_state()` and only ever grows by transitions, so no
+//!    merge happens inside a segment on either path.
+//! 3. Finalize replays the executor's exact merge structure: the
+//!    per-segment states fold left-to-right in segment order (grouped states
+//!    fold flat per key in (segment, first-appearance) order, matching the
+//!    grouped coordinator), and empty segments contribute `initial_state()`
+//!    exactly where the batch scan does.
 //!
 //! One requirement is **not** checkable here and is part of the contract for
 //! aggregates used incrementally: `merge(state, initial_state())` must be
@@ -60,10 +57,9 @@
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionMode, Executor};
+use crate::executor::Executor;
 use crate::expr::Predicate;
 use crate::group::{self, GroupKey};
-use crate::scan::{self, StealGranularity};
 use crate::schema::Schema;
 use crate::table::Table;
 use std::any::Any;
@@ -93,10 +89,10 @@ pub trait AnyMaterialized: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// One unit's partial state: a single state for ungrouped views, per-key
+/// One segment's partial state: a single state for ungrouped views, per-key
 /// states in first-appearance order for grouped views.
 #[derive(Debug, Clone)]
-enum UnitStates<S> {
+enum PartialState<S> {
     Single(S),
     Grouped(Vec<(GroupKey, S)>),
 }
@@ -104,8 +100,8 @@ enum UnitStates<S> {
 /// Per-segment partial states plus the segment's chunk watermark.
 #[derive(Debug, Clone)]
 struct SegmentStates<S> {
-    /// One entry per steal unit, aligned with [`scan::chunk_range_units`].
-    units: Vec<UnitStates<S>>,
+    /// The segment's partial state.
+    states: PartialState<S>,
     /// Chunks `0..absorbed_chunks` are fully absorbed.
     absorbed_chunks: usize,
     /// Rows of chunk `absorbed_chunks` already absorbed (the open-tail
@@ -114,9 +110,9 @@ struct SegmentStates<S> {
 }
 
 impl<S> SegmentStates<S> {
-    fn new() -> Self {
+    fn new(states: PartialState<S>) -> Self {
         Self {
-            units: Vec::new(),
+            states,
             absorbed_chunks: 0,
             tail_rows: 0,
         }
@@ -127,16 +123,11 @@ impl<S> SegmentStates<S> {
 /// module docs for the maintenance and bit-identity story.
 ///
 /// The view is configured like a [`crate::Dataset`] terminal: an optional
-/// filter and optional grouping columns, plus the [`Executor`] whose scan
-/// structure (execution mode, steal granularity) the retained states must
-/// mirror.
+/// filter and optional grouping columns.
 pub struct MaterializedAggregate<A: Aggregate> {
     aggregate: A,
     filter: Option<Predicate>,
     group_columns: Vec<String>,
-    /// Chunks per retained state unit; `usize::MAX` collapses every chunk of
-    /// a segment into one unit (whole-segment granularity).
-    chunks_per_unit: usize,
     segments: Vec<SegmentStates<A::State>>,
     /// Lifecycle generation of the table incarnation the watermarks
     /// describe ([`Table::generation`]); a mismatch on absorb proves the
@@ -152,7 +143,6 @@ impl<A: Aggregate> std::fmt::Debug for MaterializedAggregate<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaterializedAggregate")
             .field("group_columns", &self.group_columns)
-            .field("chunks_per_unit", &self.chunks_per_unit)
             .field("segments", &self.segments.len())
             .finish_non_exhaustive()
     }
@@ -163,20 +153,15 @@ where
     A: Aggregate,
     A::State: Clone,
 {
-    /// Creates an empty ungrouped, unfiltered view whose retained state
-    /// structure mirrors `executor`'s scan decomposition.
-    pub fn new(aggregate: A, executor: &Executor) -> Self {
-        // Mirror `Executor::effective_granularity`: chunk-range stealing
-        // only exists on the chunked path.
-        let chunks_per_unit = match (executor.mode(), executor.steal_granularity()) {
-            (ExecutionMode::Chunked, StealGranularity::ChunkRange) => scan::CHUNKS_PER_UNIT,
-            _ => usize::MAX,
-        };
+    /// Creates an empty ungrouped, unfiltered view.  Every executor scans
+    /// aggregates one state per segment, and its execution modes agree
+    /// bit-for-bit, so the retained states match any executor's batch scan;
+    /// the parameter is kept for call-site compatibility.
+    pub fn new(aggregate: A, _executor: &Executor) -> Self {
         Self {
             aggregate,
             filter: None,
             group_columns: Vec::new(),
-            chunks_per_unit,
             segments: Vec::new(),
             source_generation: None,
             needs_rebuild: false,
@@ -244,7 +229,7 @@ where
         if self.segments.len() != table.num_segments() {
             // Repartitioned (or first absorb): start over.
             self.segments = (0..table.num_segments())
-                .map(|_| SegmentStates::new())
+                .map(|_| self.empty_segment())
                 .collect();
         }
         for seg in 0..table.num_segments() {
@@ -274,7 +259,7 @@ where
                         || chunks[st.absorbed_chunks].len() < st.tail_rows))
         };
         if shrank {
-            self.segments[seg] = SegmentStates::new();
+            self.segments[seg] = self.empty_segment();
         }
 
         // Partial-tail catch-up: the last absorb stopped mid-chunk.
@@ -285,7 +270,7 @@ where
             if chunk.len() > tail_rows {
                 let indices: Vec<u32> = (tail_rows as u32..chunk.len() as u32).collect();
                 let suffix = chunk.gather_rows(&indices);
-                self.absorb_piece(seg, next_chunk, &suffix, schema, group_indices)?;
+                self.absorb_piece(seg, &suffix, schema, group_indices)?;
             }
             // Advance past the chunk only once a successor proves it sealed.
             if next_chunk + 1 < chunks.len() {
@@ -301,7 +286,7 @@ where
         // Whole-chunk loop from the watermark to the end of the segment.
         while next_chunk < chunks.len() {
             let chunk = std::sync::Arc::clone(&chunks[next_chunk]);
-            self.absorb_piece(seg, next_chunk, &chunk, schema, group_indices)?;
+            self.absorb_piece(seg, &chunk, schema, group_indices)?;
             if next_chunk + 1 < chunks.len() {
                 next_chunk += 1;
                 self.segments[seg].absorbed_chunks = next_chunk;
@@ -315,29 +300,27 @@ where
         Ok(())
     }
 
+    /// A segment with nothing absorbed: `initial_state()` for an ungrouped
+    /// view (what an empty segment contributes to the batch merge), no keys
+    /// for a grouped one.
+    fn empty_segment(&self) -> SegmentStates<A::State> {
+        SegmentStates::new(if self.is_grouped() {
+            PartialState::Grouped(Vec::new())
+        } else {
+            PartialState::Single(self.aggregate.initial_state())
+        })
+    }
+
     /// Folds one piece (a whole chunk, or the gathered suffix of the open
-    /// tail chunk) of segment `seg`'s chunk `chunk_idx` into the owning
-    /// unit's state, applying the view's filter exactly as
-    /// [`scan::scan_chunks`] does.
+    /// tail chunk) of segment `seg` into the segment's state, applying the
+    /// view's filter exactly as [`crate::scan::scan_chunks`] does.
     fn absorb_piece(
         &mut self,
         seg: usize,
-        chunk_idx: usize,
         piece: &RowChunk,
         schema: &Schema,
         group_indices: &[usize],
     ) -> Result<()> {
-        let unit = chunk_idx / self.chunks_per_unit;
-        {
-            let st = &mut self.segments[seg];
-            while st.units.len() <= unit {
-                st.units.push(if group_indices.is_empty() {
-                    UnitStates::Single(self.aggregate.initial_state())
-                } else {
-                    UnitStates::Grouped(Vec::new())
-                });
-            }
-        }
         if piece.is_empty() {
             return Ok(());
         }
@@ -360,10 +343,9 @@ where
                 }
             }
         };
-        let unit_states = &mut self.segments[seg].units[unit];
-        match unit_states {
-            UnitStates::Single(state) => self.aggregate.transition_chunk(state, batch, schema),
-            UnitStates::Grouped(states) => {
+        match &mut self.segments[seg].states {
+            PartialState::Single(state) => self.aggregate.transition_chunk(state, batch, schema),
+            PartialState::Grouped(states) => {
                 for part in group::partition_by_group(batch, group_indices) {
                     let slot = match states.iter().position(|(k, _)| *k == part.key) {
                         Some(slot) => slot,
@@ -397,23 +379,14 @@ where
                 "finalize on a grouped materialized aggregate; use finalize_grouped",
             ));
         }
-        // Replay the executor's merge structure exactly: fold each segment's
-        // unit states in range order, then fold the per-segment states in
-        // segment order.
+        // Replay the executor's merge structure exactly: fold the
+        // per-segment states in segment order.
         let mut merged: Option<A::State> = None;
         for seg in &self.segments {
-            let mut seg_state: Option<A::State> = None;
-            for unit in &seg.units {
-                let state = match unit {
-                    UnitStates::Single(s) => s.clone(),
-                    UnitStates::Grouped(_) => unreachable!("ungrouped view"),
-                };
-                seg_state = Some(match seg_state {
-                    None => state,
-                    Some(prev) => self.aggregate.merge(prev, state),
-                });
-            }
-            let state = seg_state.unwrap_or_else(|| self.aggregate.initial_state());
+            let state = match &seg.states {
+                PartialState::Single(s) => s.clone(),
+                PartialState::Grouped(_) => unreachable!("ungrouped view"),
+            };
             merged = Some(match merged {
                 None => state,
                 Some(prev) => self.aggregate.merge(prev, state),
@@ -435,22 +408,20 @@ where
                 "finalize_grouped on an ungrouped materialized aggregate; use finalize",
             ));
         }
-        // Per key, states merge flat left-to-right in (segment, unit,
+        // Per key, states merge flat left-to-right in (segment,
         // first-appearance) order — the grouped coordinator's fold.
         let mut merged: HashMap<GroupKey, A::State> = HashMap::new();
         for seg in &self.segments {
-            for unit in &seg.units {
-                let states = match unit {
-                    UnitStates::Grouped(states) => states,
-                    UnitStates::Single(_) => unreachable!("grouped view"),
+            let states = match &seg.states {
+                PartialState::Grouped(states) => states,
+                PartialState::Single(_) => unreachable!("grouped view"),
+            };
+            for (key, state) in states {
+                let combined = match merged.remove(key) {
+                    None => state.clone(),
+                    Some(prev) => self.aggregate.merge(prev, state.clone()),
                 };
-                for (key, state) in states {
-                    let combined = match merged.remove(key) {
-                        None => state.clone(),
-                        Some(prev) => self.aggregate.merge(prev, state.clone()),
-                    };
-                    merged.insert(key.clone(), combined);
-                }
+                merged.insert(key.clone(), combined);
             }
         }
         let mut entries: Vec<(GroupKey, A::State)> = merged.into_iter().collect();
@@ -516,11 +487,10 @@ mod tests {
     }
 
     /// Incremental absorb across partial tail chunks, chunk seals, filters
-    /// and both steal granularities matches the batch scan exactly.
+    /// and both execution modes matches the batch scan exactly.
     #[test]
     fn absorb_matches_batch_aggregate() {
-        for steal in [StealGranularity::Segment, StealGranularity::ChunkRange] {
-            let executor = Executor::new().with_steal_granularity(steal);
+        for executor in [Executor::new(), Executor::row_at_a_time()] {
             let filter = Predicate::column_gt("v", 2.5);
             let mut t = table(0, 2, 4);
             let mut view = MaterializedAggregate::new(SumAggregate::new("v"), &executor)

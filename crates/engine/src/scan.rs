@@ -34,18 +34,21 @@
 //!
 //! Segment-granular stealing still serializes a workload whose skew lives
 //! *inside* one segment: one hot segment is one unit, owned end-to-end by
-//! one worker.  [`run_per_segment_ranged`] therefore splits segments into
-//! [`ChunkRange`] units of at most [`CHUNKS_PER_UNIT`] chunks when asked for
-//! [`StealGranularity::ChunkRange`], merging each segment's per-unit results
-//! back together in range order with a caller-supplied `merge`.  The
-//! decomposition is a pure function of the table — never of the worker
-//! count — so a scan's result is independent of scheduling and thread count
-//! at *either* granularity.  The granularities themselves may differ
-//! bitwise for floating-point aggregate states (merging partial states
-//! reassociates additions), which is why chunk-range stealing is opt-in for
-//! aggregations ([`crate::Executor::with_steal_granularity`]) while
-//! order-preserving concatenation consumers (`map_chunks`) use it
-//! unconditionally.
+//! one worker.  The concatenating terminals (`map_chunks` and the `score`
+//! family) therefore run on [`run_per_segment_ranged`], which splits
+//! segments into [`ChunkRange`] units of at most [`CHUNKS_PER_UNIT`] chunks
+//! and concatenates each segment's per-unit outputs back together in range
+//! order — unconditionally identical to the whole-segment scan, in both
+//! execution modes ([`scan_chunks`] and [`scan_rows`] walk the same
+//! ranges).  The decomposition is a pure function of the table — never of
+//! the worker count — so output is independent of scheduling and thread
+//! count.
+//!
+//! Aggregations stay on [`run_per_segment`]: one transition state per
+//! segment, merged in segment order, exactly the paper's
+//! transition/merge/final pattern.  Splitting them into ranges would
+//! reassociate floating-point merges and make every unit hold its own
+//! (possibly large, per-group) state until the merge.
 //!
 //! The worker count comes from [`worker_count`]: the `MADLIB_THREADS`
 //! environment variable when set to a positive integer, the machine's
@@ -171,13 +174,31 @@ pub fn scan_segment_rows<F>(
     segment: &Segment,
     schema: &Schema,
     filter: Option<&Predicate>,
+    sink: F,
+) -> Result<SegmentScanStats>
+where
+    F: FnMut(&Row) -> Result<()>,
+{
+    scan_rows(segment.chunks(), schema, filter, sink)
+}
+
+/// Streams a slice of chunks row-at-a-time through `sink` — the ranged core
+/// of [`scan_segment_rows`] and the row-mode twin of [`scan_chunks`], also
+/// usable on a [`ChunkRange`]'s sub-slice of a segment's chunks.
+///
+/// # Errors
+/// Propagates predicate-evaluation errors and errors returned by `sink`.
+pub fn scan_rows<F>(
+    chunks: &[Arc<RowChunk>],
+    schema: &Schema,
+    filter: Option<&Predicate>,
     mut sink: F,
 ) -> Result<SegmentScanStats>
 where
     F: FnMut(&Row) -> Result<()>,
 {
     let mut stats = SegmentScanStats::default();
-    for row in segment.iter() {
+    for row in chunks.iter().flat_map(|chunk| chunk.rows()) {
         stats.rows_scanned += 1;
         if let Some(pred) = filter {
             if !pred.evaluate(&row, schema)? {
@@ -286,32 +307,20 @@ where
     )
 }
 
-/// How the parallel scan fan-out decomposes a table into steal-able units.
+/// How a table decomposes into steal-able units ([`chunk_range_units`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StealGranularity {
-    /// One work unit per segment (the default).  A segment's chunks stream
-    /// through one worker sequentially, so per-segment results are
-    /// bit-identical to the serial scan — but one hot segment serializes on
-    /// the worker that claimed it.
+    /// One work unit per segment — the aggregate scans' decomposition
+    /// ([`run_per_segment`]).  A segment's chunks stream through one worker
+    /// sequentially, so one hot segment serializes on the worker that
+    /// claimed it.
     #[default]
     Segment,
     /// Segments split into [`ChunkRange`] units of at most
     /// [`CHUNKS_PER_UNIT`] chunks, so one hot segment spreads across every
-    /// worker.  Per-unit results are merged back per segment in range order;
-    /// for floating-point aggregate states that merge *reassociates*
-    /// additions, so results can differ bitwise from [`Segment`] granularity
-    /// (while remaining independent of worker count and scheduling).
+    /// worker — the concatenating terminals' decomposition
+    /// ([`run_per_segment_ranged`]).
     ChunkRange,
-}
-
-impl StealGranularity {
-    /// Stable lowercase label (used in bench metadata and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            StealGranularity::Segment => "segment",
-            StealGranularity::ChunkRange => "chunk-range",
-        }
-    }
 }
 
 /// One steal-able work unit: the chunks `chunk_lo..chunk_hi` of segment
@@ -340,12 +349,14 @@ impl ChunkRange {
 ///
 /// At the default chunk capacity (1024 rows) one unit is ≤ 4096 rows — fine
 /// enough that a single hot segment splits across every worker, coarse
-/// enough that the per-unit scheduling cost (one atomic claim, one state
-/// merge) stays negligible against scanning the rows.
+/// enough that the per-unit scheduling cost (one atomic claim, one output
+/// concatenation) stays negligible against scanning the rows.
 pub const CHUNKS_PER_UNIT: usize = 4;
 
-/// Decomposes `table` into the steal-able units [`run_per_segment_ranged`]
-/// schedules — a **pure function of the table and granularity**, never of
+/// Decomposes `table` into steal-able units — the units [`run_per_segment`]
+/// ([`StealGranularity::Segment`]) and [`run_per_segment_ranged`]
+/// ([`StealGranularity::ChunkRange`]) schedule.  It is a **pure function of
+/// the table and granularity**, never of
 /// the worker count, so results (and the merge structure behind them) do not
 /// depend on scheduling.  Every segment yields at least one unit, in
 /// `(segment, chunk_lo)` order.
@@ -377,20 +388,17 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
     units
 }
 
-/// Runs `work` once per [`ChunkRange`] unit of `table` — on work-stealing
-/// parallel workers when `parallel` is set — and folds each segment's
-/// per-unit results with `merge` **in range order**, returning one result
-/// per segment in segment order.
+/// Runs `work` once per [`StealGranularity::ChunkRange`] unit of `table` —
+/// on work-stealing parallel workers when `parallel` is set — and folds each
+/// segment's per-unit results with `merge` **in range order**, returning one
+/// result per segment in segment order.
 ///
-/// With [`StealGranularity::Segment`] every segment is a single unit, `merge`
-/// is never called, and this is exactly [`run_per_segment`].  With
-/// [`StealGranularity::ChunkRange`] a hot segment's chunks spread across all
-/// workers; `merge` must combine two adjacent ranges' results into the
-/// earlier range's (e.g. [`crate::aggregate::Aggregate::merge`], or
-/// concatenation for order-preserving collectors).  Because the unit
-/// decomposition ([`chunk_range_units`]) and the merge order are functions
-/// of the table alone, the per-segment results are identical no matter how
-/// many workers ran or which worker claimed which unit.
+/// A hot segment's chunks spread across all workers; `merge` must combine
+/// two adjacent ranges' results into the earlier range's (concatenation for
+/// order-preserving collectors).  Because the unit decomposition
+/// ([`chunk_range_units`]) and the merge order are functions of the table
+/// alone, the per-segment results are identical no matter how many workers
+/// ran or which worker claimed which unit.
 ///
 /// When several units of one segment fail, the earliest failing range's
 /// error (panics included, as [`EngineError::WorkerPanicked`]) is the
@@ -399,7 +407,6 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
 pub fn run_per_segment_ranged<T, F, M>(
     table: &Table,
     parallel: bool,
-    granularity: StealGranularity,
     work: F,
     merge: M,
 ) -> Vec<Result<T>>
@@ -408,7 +415,7 @@ where
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
     M: Fn(T, T) -> T,
 {
-    let units = chunk_range_units(table, granularity);
+    let units = chunk_range_units(table, StealGranularity::ChunkRange);
     let workers = if parallel {
         worker_count().min(units.len())
     } else {
@@ -667,6 +674,33 @@ mod tests {
             scan_segment_chunks(t.segment(0), t.schema(), Some(&pred), |_| Ok(())).unwrap();
         let by_rows = scan_segment_rows(t.segment(0), t.schema(), Some(&pred), |_| Ok(())).unwrap();
         assert_eq!(chunked, by_rows);
+
+        // A segment of more than `CHUNKS_PER_UNIT` chunks, scanned range by
+        // range: the summed counters and the row order match the
+        // whole-segment row scan.
+        let t = make_table(1, 50);
+        assert!(t.segment(0).chunks().len() > CHUNKS_PER_UNIT);
+        let pred = Predicate::column_gt("y", 6.5).and(Predicate::column_lt("y", 44.0));
+        let mut whole_rows = Vec::new();
+        let whole = scan_segment_rows(t.segment(0), t.schema(), Some(&pred), |row| {
+            whole_rows.push(row.clone());
+            Ok(())
+        })
+        .unwrap();
+        let mut ranged = SegmentScanStats::default();
+        let mut ranged_rows = Vec::new();
+        for unit in chunk_range_units(&t, StealGranularity::ChunkRange) {
+            let stats = scan_rows(unit.chunks(t.segment(0)), t.schema(), Some(&pred), |row| {
+                ranged_rows.push(row.clone());
+                Ok(())
+            })
+            .unwrap();
+            ranged.rows_scanned += stats.rows_scanned;
+            ranged.rows_passed += stats.rows_passed;
+        }
+        assert_eq!(ranged, whole);
+        assert_eq!(ranged_rows, whole_rows);
+        assert_eq!(whole.rows_passed, 37);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::collections::HashMap;
 /// bit-identical predictions (and identical errors) to the row loop** — the
 /// same contract the aggregate `transition_chunk` overrides obey.  That
 /// bit-identity is what lets [`Dataset::score`] switch between execution
-/// modes, steal granularities and kernel tiers without changing results.
+/// modes and kernel tiers without changing results.
 pub trait Scorer: Sync {
     /// Column type of the predictions this scorer emits (the schema of the
     /// materialized predictions column).
@@ -310,20 +310,15 @@ impl Dataset<'_> {
     /// The shared scan pass behind [`Dataset::score`] and
     /// [`Dataset::score_into`]: one prediction vector per segment, in
     /// per-segment row order.  Chunk-range stealing spreads hot segments
-    /// across workers; outputs concatenate in range order, which is
-    /// unconditionally identical to the whole-segment scan.
+    /// across workers in both execution modes; outputs concatenate in range
+    /// order, which is unconditionally identical to the whole-segment scan.
     fn score_segments<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Vec<Value>>> {
         let schema = self.schema();
         let filter = self.filter_predicate();
         let mode = self.executor().mode();
-        let granularity = match mode {
-            ExecutionMode::Chunked => scan::StealGranularity::ChunkRange,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            granularity,
             |range, segment| {
                 let mut out = Vec::new();
                 match mode {
@@ -333,7 +328,7 @@ impl Dataset<'_> {
                         })?;
                     }
                     ExecutionMode::RowAtATime => {
-                        scan::scan_segment_rows(segment, schema, filter, |row| {
+                        scan::scan_rows(range.chunks(segment), schema, filter, |row| {
                             out.push(scorer.predict_row(row, schema)?);
                             Ok(())
                         })?;
@@ -373,14 +368,9 @@ impl Dataset<'_> {
         let group_indices = group_indices.as_slice();
         let filter = self.filter_predicate();
         let mode = self.executor().mode();
-        let granularity = match mode {
-            ExecutionMode::Chunked => scan::StealGranularity::ChunkRange,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            granularity,
             |range, segment| {
                 let mut out = Vec::new();
                 match mode {
@@ -395,7 +385,7 @@ impl Dataset<'_> {
                     ExecutionMode::RowAtATime => {
                         let mut cache: HashMap<GroupKey, usize> = HashMap::new();
                         let mut resolved: Vec<&S> = Vec::new();
-                        scan::scan_segment_rows(segment, schema, filter, |row| {
+                        scan::scan_rows(range.chunks(segment), schema, filter, |row| {
                             let key = match group_indices {
                                 [idx] => GroupKey::from_value(row.get(*idx)),
                                 many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),

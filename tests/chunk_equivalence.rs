@@ -798,33 +798,31 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 7: chunk-range work stealing.  `Executor::with_steal_granularity(
-// StealGranularity::ChunkRange)` splits each segment into fixed chunk ranges
-// behind a shared stealing cursor, and per-range states are merged back with
-// `Aggregate::merge` in range order.  Two properties make that safe:
+// Work stealing and the aggregate decomposition.  Aggregate scans keep one
+// transition state per segment; the work-stealing workers only decide which
+// thread folds which segment, and the per-segment states merge with
+// `Aggregate::merge` in segment order on the coordinator.  Two properties
+// follow:
 //
-// * The unit decomposition is a pure function of (table, granularity) and
-//   never of the worker count, so parallel and serial execution at the same
-//   granularity fold the *same* states in the *same* order — bit-identical
-//   on arbitrary floating-point data.
-// * Relative to whole-segment scanning, only the merge step reassociates
-//   additions, so on exact-arithmetic data (integer-valued doubles small
-//   enough to round-trip) chunk-range results equal segment-granular and
-//   row-at-a-time results exactly, with the same group key order.
+// * The decomposition is a pure function of the table and never of the
+//   worker count, so parallel and serial execution fold the *same* states
+//   in the *same* order — bit-identical on arbitrary floating-point data.
+// * The chunked and row-at-a-time scans fold the same rows into the same
+//   per-segment states, so on exact-arithmetic data (integer-valued doubles
+//   small enough to round-trip) their results match exactly, with the same
+//   group key order.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Parallel chunk-range stealing ≡ serial chunk-range execution, bit for
-    /// bit, on arbitrary float data — ungrouped aggregates, grouped
-    /// aggregates, and a full linear-regression fit.
+    /// Parallel work-stealing execution ≡ serial execution, bit for bit, on
+    /// arbitrary float data — ungrouped aggregates, grouped aggregates, and a
+    /// full linear-regression fit.
     #[test]
-    fn chunk_range_parallel_equals_serial_bitwise(
+    fn aggregate_parallel_equals_serial_bitwise(
         points in prop::collection::vec((0usize..5, -10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..180),
         segments in 1usize..5,
         chunk_capacity in 1usize..8,
     ) {
-        use madlib::engine::StealGranularity;
-
         let schema = Schema::new(vec![
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
@@ -843,8 +841,8 @@ proptest! {
                 ]))
                 .unwrap();
         }
-        let par = Executor::new().with_steal_granularity(StealGranularity::ChunkRange);
-        let ser = Executor::serial().with_steal_granularity(StealGranularity::ChunkRange);
+        let par = Executor::new();
+        let ser = Executor::serial();
 
         let sum_p = par.aggregate(&table, &SumAggregate::new("y")).unwrap();
         let sum_s = ser.aggregate(&table, &SumAggregate::new("y")).unwrap();
@@ -880,22 +878,17 @@ proptest! {
         }
     }
 
-    /// On exact-arithmetic data, chunk-range stealing equals segment-granular
-    /// stealing *and* the row-at-a-time scan exactly — values, group keys and
-    /// key order — because only the merge step's reassociation could ever
-    /// differ, and integer-valued doubles make it exact.  Also pins the
-    /// row-at-a-time + chunk-range combination, which must quietly degrade to
-    /// segment granularity rather than split a per-row scan.
+    /// On exact-arithmetic data, the chunked scan equals the row-at-a-time
+    /// scan exactly — values, group keys and key order — for ungrouped and
+    /// grouped aggregates, filtered or not.
     #[test]
-    fn chunk_range_equals_segment_on_exact_data(
+    fn chunked_equals_row_at_a_time_on_exact_data(
         num_rows in 0usize..200,
         num_groups in 1usize..9,
         segments in 1usize..5,
         chunk_capacity in 1usize..8,
         filtered in any::<bool>(),
     ) {
-        use madlib::engine::StealGranularity;
-
         let schema = Schema::new(vec![
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
@@ -915,12 +908,7 @@ proptest! {
                 .unwrap();
         }
         let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let executors = [
-            Executor::new().with_steal_granularity(StealGranularity::ChunkRange),
-            Executor::new(), // segment-granular (default)
-            Executor::row_at_a_time(),
-            Executor::row_at_a_time().with_steal_granularity(StealGranularity::ChunkRange),
-        ];
+        let executors = [Executor::new(), Executor::row_at_a_time()];
         let grouped_ds = |exec: &Executor| {
             let mut ds = dataset(&table, exec).group_by(["grp"]);
             if let Some(pred) = &filter {
