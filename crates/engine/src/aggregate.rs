@@ -175,6 +175,19 @@ pub fn transition_chunk_by_rows<A: Aggregate + ?Sized>(
     Ok(())
 }
 
+/// Merges per-segment states left to right in segment order — the fold
+/// behind every ungrouped aggregate result, batch or incremental.  No states
+/// merge to `initial_state()`.
+pub(crate) fn merge_segment_states<A: Aggregate>(
+    aggregate: &A,
+    states: impl IntoIterator<Item = A::State>,
+) -> A::State {
+    states
+        .into_iter()
+        .reduce(|prev, next| aggregate.merge(prev, next))
+        .unwrap_or_else(|| aggregate.initial_state())
+}
+
 /// Whether a chunk column contains at least one non-NULL value.  The SQL
 /// aggregates only raise type errors for values they actually read, so the
 /// chunk paths must stay silent on columns that are entirely NULL.

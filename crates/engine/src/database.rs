@@ -1333,6 +1333,7 @@ mod tests {
     use crate::aggregate::{Aggregate, CountAggregate, SumAggregate};
     use crate::chunk::RowChunk;
     use crate::executor::Executor;
+    use crate::group::GroupKey;
     use crate::materialize::MaterializedAggregate;
 
     fn count_view(db: &Database) -> MaterializedAggregate<CountAggregate> {
@@ -1497,50 +1498,91 @@ mod tests {
 
     /// When a view fails to absorb an append, the insert must stay
     /// committed, the *other* views must still absorb, the failing view must
-    /// be marked for rebuild, and the typed error must name it.
+    /// be marked for rebuild, and the typed error must name it.  The grouped
+    /// input appends 300 distinct keys in one chunk, so the grouped view
+    /// stages them in radix buckets and the poison row fails inside a bucket
+    /// flush; once the poison row is replaced away, the rebuilt view must
+    /// equal a from-scratch scan — no staged row survives the failed absorb.
     #[test]
     fn append_commits_despite_failing_view_and_names_it() {
-        let db = Database::new(1).unwrap();
-        db.create_table("events", schema()).unwrap();
-        db.register_view(
-            "flaky",
-            "events",
-            Box::new(MaterializedAggregate::new(
-                PoisonAggregate,
-                &Executor::new(),
-            )),
-        )
-        .unwrap();
-        db.register_view("solid", "events", Box::new(count_view(&db)))
-            .unwrap();
+        for grouped in [false, true] {
+            let db = Database::new(1).unwrap();
+            db.create_table("events", schema()).unwrap();
+            let poison = MaterializedAggregate::new(PoisonAggregate, &Executor::new());
+            let poison = if grouped {
+                poison.with_group_columns(["id"])
+            } else {
+                poison
+            };
+            db.register_view("flaky", "events", Box::new(poison))
+                .unwrap();
+            db.register_view("solid", "events", Box::new(count_view(&db)))
+                .unwrap();
 
-        db.append_rows("events", [row![1i64, 1.0]]).unwrap();
-        let err = db
-            .append_rows("events", [row![2i64, 13.0], row![3i64, 3.0]])
-            .unwrap_err();
-        match &err {
-            EngineError::ViewAbsorbFailed { table, failures } => {
-                assert_eq!(table, "events");
-                assert_eq!(failures.len(), 1);
-                assert_eq!(failures[0].0, "flaky");
+            db.append_rows("events", [row![1i64, 1.0]]).unwrap();
+            let appended: i64 = if grouped { 300 } else { 2 };
+            let rows = |poisoned: bool| {
+                (2..appended + 2).filter_map(move |id| match id {
+                    2 if poisoned => Some(row![id, 13.0]),
+                    2 => None,
+                    _ => Some(row![id, id as f64 + 0.5]),
+                })
+            };
+            let err = db.append_rows("events", rows(true)).unwrap_err();
+            match &err {
+                EngineError::ViewAbsorbFailed { table, failures } => {
+                    assert_eq!(table, "events");
+                    assert_eq!(failures.len(), 1);
+                    assert_eq!(failures[0].0, "flaky");
+                }
+                other => panic!("expected ViewAbsorbFailed, got {other:?}"),
             }
-            other => panic!("expected ViewAbsorbFailed, got {other:?}"),
+            let total = 1 + appended as usize;
+            // The insert committed despite the view failure...
+            assert_eq!(db.table("events").unwrap().row_count(), total);
+            // ...the healthy view absorbed the rows...
+            assert_eq!(finalize_count(&db, "solid").unwrap(), total as u64);
+            // ...and the failing view is flagged for rebuild.
+            {
+                let views = read_lock(&db.views);
+                let guard = views["flaky"].state.lock().unwrap();
+                let view = guard
+                    .as_any()
+                    .downcast_ref::<MaterializedAggregate<PoisonAggregate>>()
+                    .expect("poison view");
+                assert!(view.needs_rebuild());
+            }
+            // Refreshing it restarts from scratch and hits the poison row again.
+            db.refresh_view("flaky", |_| Ok(())).unwrap_err();
+
+            // Without the poison row the rebuild matches a from-scratch scan.
+            let mut clean = Table::new(schema(), 1).unwrap();
+            clean.insert(row![1i64, 1.0]).unwrap();
+            clean.insert_all(rows(false)).unwrap();
+            db.replace_table("events", clean).unwrap();
+            let scratch = db.dataset("events").unwrap();
+            let finalize = |state: &mut dyn AnyMaterialized| {
+                let view = state
+                    .as_any_mut()
+                    .downcast_mut::<MaterializedAggregate<PoisonAggregate>>()
+                    .expect("poison view");
+                if grouped {
+                    view.finalize_grouped()
+                } else {
+                    Ok(vec![(GroupKey::from_value(&Value::Null), view.finalize()?)])
+                }
+            };
+            let expected = if grouped {
+                scratch
+                    .group_by(["id"])
+                    .aggregate_per_group(&PoisonAggregate)
+                    .unwrap()
+            } else {
+                let count = scratch.aggregate(&PoisonAggregate).unwrap();
+                vec![(GroupKey::from_value(&Value::Null), count)]
+            };
+            assert_eq!(expected.len(), if grouped { total - 1 } else { 1 });
+            assert_eq!(db.refresh_view("flaky", finalize).unwrap(), expected);
         }
-        // The insert committed despite the view failure...
-        assert_eq!(db.table("events").unwrap().row_count(), 3);
-        // ...the healthy view absorbed the rows...
-        assert_eq!(finalize_count(&db, "solid").unwrap(), 3);
-        // ...and the failing view is flagged for rebuild.
-        {
-            let views = read_lock(&db.views);
-            let guard = views["flaky"].state.lock().unwrap();
-            let view = guard
-                .as_any()
-                .downcast_ref::<MaterializedAggregate<PoisonAggregate>>()
-                .expect("poison view");
-            assert!(view.needs_rebuild());
-        }
-        // Refreshing it restarts from scratch and hits the poison row again.
-        db.refresh_view("flaky", |_| Ok(())).unwrap_err();
     }
 }

@@ -29,7 +29,7 @@
 //! `aggregate_grouped` / `aggregate_grouped_filtered` method matrix was
 //! deprecated in favour of `Dataset` and has since been removed.)
 
-use crate::aggregate::Aggregate;
+use crate::aggregate::{merge_segment_states, Aggregate};
 use crate::chunk::Segment;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
@@ -150,22 +150,19 @@ impl Executor {
             Self::run_segment(aggregate, segment, schema, filter, mode)
         });
 
-        let mut merged: Option<A::State> = None;
         let mut stats = ExecutionStats {
             rows_scanned: 0,
             rows_aggregated: 0,
             segments: table.num_segments(),
         };
+        let mut states = Vec::with_capacity(table.num_segments());
         for res in segment_results {
             let (state, seg_stats) = res?;
             stats.rows_scanned += seg_stats.rows_scanned;
             stats.rows_aggregated += seg_stats.rows_passed;
-            merged = Some(match merged {
-                None => state,
-                Some(prev) => aggregate.merge(prev, state),
-            });
+            states.push(state);
         }
-        let state = merged.unwrap_or_else(|| aggregate.initial_state());
+        let state = merge_segment_states(aggregate, states);
         Ok((aggregate.finalize(state)?, stats))
     }
 

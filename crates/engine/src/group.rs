@@ -1,4 +1,4 @@
-//! Typed group-by keys and per-chunk group partitioning.
+//! Typed group-by keys and the per-segment grouped transition.
 //!
 //! Grouping used to key states by `Value::to_string()`, which is both slow
 //! (one heap allocation and one formatting pass per row) and wrong at the
@@ -18,12 +18,24 @@
 //! values.  Keys compare and hash part-wise (lexicographic over the parts,
 //! exactly SQL's multi-column `GROUP BY` ordering) and the single-column case
 //! stays allocation-free: a one-part key stores its part inline.
+//!
+//! `GroupedStates` is the one grouped-state path: a segment's key → slot
+//! directory plus slot-indexed transition states, advanced chunk at a time
+//! by the direct-gather / radix-staging transition, and folded across
+//! segments by `merge_segment_groups`.  The batch grouped scan and grouped
+//! materialized views both run it.
 
-use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
+use crate::aggregate::Aggregate;
+use crate::chunk::{ColumnChunk, RowChunk};
+use crate::error::Result;
+use crate::expr::Predicate;
+use crate::scan;
+use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// An `f64` with total equality, ordering and hashing: bit-pattern equality
 /// (distinguishing `-0.0` from `0.0`, and treating identical NaNs as equal)
@@ -360,41 +372,490 @@ impl From<KeyPart> for GroupKey {
     }
 }
 
-/// One group discovered inside a chunk: its key, the selection mask of its
-/// rows, and how many rows it has.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkGroup {
-    /// The group's key.
-    pub key: GroupKey,
-    /// Mask over the chunk's rows selecting exactly this group's rows.
-    pub mask: SelectionMask,
-    /// Number of selected rows (cached `mask.count_selected()`).
-    pub rows: usize,
+/// Once the mean rows-per-group within a chunk drops below this, the grouped
+/// transition stops gathering per-group sub-chunks directly and switches to
+/// the radix partition pass: a gather that yields only a couple of rows
+/// costs more than the vectorized kernel saves, so high-cardinality chunks
+/// stage their rows by group-slot bucket instead and batch each group across
+/// many chunks.  (Equality of results does not depend on the threshold —
+/// `transition_chunk` overrides are bit-identical to per-row transitions by
+/// contract, and staging preserves each group's row order — so this is
+/// purely a performance knob.)
+const MIN_ROWS_PER_GROUP_FOR_GATHER: usize = 4;
+
+/// How many consecutive group slots share one radix bucket.  Rows are
+/// bucketed by `slot / RADIX_SLOTS_PER_BUCKET`, so a flushed bucket touches a
+/// contiguous run of aggregate states (cache-friendly) and each group's
+/// staged batch stays big enough for the vectorized kernels.
+const RADIX_SLOTS_PER_BUCKET: usize = 16;
+
+/// A bucket is flushed through `transition_chunk` once it has staged this
+/// many rows — at that point each of its (up to
+/// [`RADIX_SLOTS_PER_BUCKET`]) groups averages a batch worth gathering.
+const RADIX_FLUSH_ROWS: usize = 256;
+
+/// Upper bound on rows staged across all buckets of one grouped transition
+/// call; when exceeded, the fullest buckets are flushed early.  Bounds
+/// staging memory at roughly this many rows' worth of columnar data per
+/// worker.
+const RADIX_MAX_STAGED_ROWS: usize = 32 * 1024;
+
+/// One segment's grouped transition states: a key → slot directory (each
+/// distinct key is hashed into a dense slot once) and the slot-indexed
+/// states it points into.
+///
+/// The batch grouped scan ([`crate::Dataset::aggregate_per_group`]) builds
+/// one per segment scan; a grouped [`crate::MaterializedAggregate`] keeps one
+/// per segment across absorbs.  Both advance it through
+/// [`GroupedStates::transition_chunks`], so a view's states are the batch
+/// scan's states by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupedStates<S> {
+    slots: HashMap<GroupKey, u32>,
+    states: Vec<S>,
 }
 
-/// Partitions a chunk's rows by the (possibly composite) key over
-/// `column_indices`, returning one [`ChunkGroup`] per distinct key in
-/// first-appearance order.  The masks are disjoint and together cover every
-/// row of the chunk.
-pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<ChunkGroup> {
-    let columns: Vec<&ColumnChunk> = column_indices.iter().map(|&c| chunk.column(c)).collect();
-    let rows = chunk.len();
-    let mut slots: HashMap<GroupKey, usize> = HashMap::new();
-    let mut groups: Vec<ChunkGroup> = Vec::new();
-    for i in 0..rows {
-        let key = GroupKey::from_columns(&columns, i);
-        let slot = *slots.entry(key.clone()).or_insert_with(|| {
-            groups.push(ChunkGroup {
-                key,
-                mask: SelectionMask::none(rows),
-                rows: 0,
-            });
-            groups.len() - 1
-        });
-        groups[slot].mask.set(i, true);
-        groups[slot].rows += 1;
+impl<S> Default for GroupedStates<S> {
+    fn default() -> Self {
+        Self {
+            slots: HashMap::new(),
+            states: Vec::new(),
+        }
     }
-    groups
+}
+
+impl<S> GroupedStates<S> {
+    /// The slot of `key`, created with `initial()` on first sight.
+    fn slot_of(&mut self, key: &GroupKey, initial: impl FnOnce() -> S) -> u32 {
+        if let Some(&slot) = self.slots.get(key) {
+            return slot;
+        }
+        let slot = self.states.len() as u32;
+        self.states.push(initial());
+        self.slots.insert(key.clone(), slot);
+        slot
+    }
+
+    /// Folds the filter-surviving rows of `chunks` into the per-key states,
+    /// chunk at a time: the per-segment grouped transition.
+    ///
+    /// Each chunk's rows are keyed into slots, then fed to
+    /// [`Aggregate::transition_chunk`] in one of three ways: a single-key
+    /// chunk as a whole; a chunk with few groups as one gathered sub-chunk
+    /// per group (row order kept); a high-cardinality chunk through the
+    /// radix pass, which stages rows into group-slot buckets across chunks
+    /// and flushes each group as one batch.  Every staged row is drained
+    /// before this returns, so the result equals per-row transitions in scan
+    /// order no matter how the rows were batched or split across calls.
+    ///
+    /// # Errors
+    /// Propagates predicate and transition errors; the states may then hold
+    /// a partial fold and must be discarded.
+    pub(crate) fn transition_chunks<A>(
+        &mut self,
+        aggregate: &A,
+        chunks: &[Arc<RowChunk>],
+        schema: &Schema,
+        group_indices: &[usize],
+        filter: Option<&Predicate>,
+    ) -> Result<()>
+    where
+        A: Aggregate<State = S>,
+    {
+        let mut staging = GroupStaging::default();
+        scan::scan_chunks(chunks, schema, filter, |batch| {
+            staging.transition_chunk(aggregate, schema, group_indices, self, batch.chunk())
+        })?;
+        staging.drain(aggregate, schema, &mut self.states)
+    }
+
+    /// The row-at-a-time twin of [`GroupedStates::transition_chunks`]
+    /// ([`crate::ExecutionMode::RowAtATime`]): per-row keys, predicates and
+    /// [`Aggregate::transition`].
+    ///
+    /// # Errors
+    /// As [`GroupedStates::transition_chunks`].
+    pub(crate) fn transition_rows<A>(
+        &mut self,
+        aggregate: &A,
+        chunks: &[Arc<RowChunk>],
+        schema: &Schema,
+        group_indices: &[usize],
+        filter: Option<&Predicate>,
+    ) -> Result<()>
+    where
+        A: Aggregate<State = S>,
+    {
+        scan::scan_rows(chunks, schema, filter, |row| {
+            let key = GroupKey::from_values(group_indices.iter().map(|&i| row.get(i)));
+            let slot = self.slot_of(&key, || aggregate.initial_state());
+            aggregate.transition(&mut self.states[slot as usize], row, schema)
+        })?;
+        Ok(())
+    }
+
+    /// The `(key, state)` pairs, in slot (first-appearance) order.
+    pub(crate) fn into_pairs(self) -> Vec<(GroupKey, S)> {
+        let mut keys: Vec<(GroupKey, u32)> = self.slots.into_iter().collect();
+        keys.sort_unstable_by_key(|(_, slot)| *slot);
+        keys.into_iter()
+            .map(|(key, _)| key)
+            .zip(self.states)
+            .collect()
+    }
+
+    /// Copies of the `(key, state)` pairs, in no particular order (the
+    /// per-key fold of [`merge_segment_groups`] does not depend on it).
+    pub(crate) fn cloned_pairs(&self) -> impl Iterator<Item = (GroupKey, S)> + '_
+    where
+        S: Clone,
+    {
+        self.slots
+            .iter()
+            .map(|(key, &slot)| (key.clone(), self.states[slot as usize].clone()))
+    }
+}
+
+/// Merges per-segment grouped states into one state per key and returns
+/// them sorted by key.  Per key, states merge left to right in segment order
+/// — the fold behind every grouped aggregate result, batch or incremental.
+pub(crate) fn merge_segment_groups<A, I>(aggregate: &A, segments: I) -> Vec<(GroupKey, A::State)>
+where
+    A: Aggregate,
+    I: IntoIterator,
+    I::Item: IntoIterator<Item = (GroupKey, A::State)>,
+{
+    let mut merged: HashMap<GroupKey, A::State> = HashMap::new();
+    for (key, state) in segments.into_iter().flatten() {
+        let combined = match merged.remove(&key) {
+            None => state,
+            Some(prev) => aggregate.merge(prev, state),
+        };
+        merged.insert(key, combined);
+    }
+    let mut entries: Vec<(GroupKey, A::State)> = merged.into_iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
+}
+
+/// Per-call scratch of [`GroupedStates::transition_chunks`]: the radix
+/// staging buckets and the per-chunk directories.  It is drained before the
+/// call returns and then dropped, so no staged row or grown bucket buffer
+/// outlives the call.
+#[derive(Default)]
+struct GroupStaging {
+    /// One bucket per contiguous run of [`RADIX_SLOTS_PER_BUCKET`] slots,
+    /// holding rows copied out of their source chunks until the bucket is
+    /// worth batching.  Created when the radix pass first stages rows.
+    buckets: Vec<StagedBucket>,
+    /// Rows staged across all buckets.
+    staged_total: usize,
+    /// The slot of every row of the current chunk.
+    row_slots: Vec<u32>,
+    /// The current chunk's distinct slots (first-seen order) with their
+    /// in-chunk row counts.
+    chunk_groups: Vec<(u32, u32)>,
+    /// Epoch-stamped marker per slot (`u32::MAX` = not yet seen this chunk)
+    /// locating each slot's entry in `chunk_groups`.
+    chunk_group_of_slot: Vec<u32>,
+    /// The bucket-granularity twins of `chunk_groups` and
+    /// `chunk_group_of_slot`, for the chunk being staged.
+    chunk_buckets: Vec<(u32, u32)>,
+    chunk_entry_of_bucket: Vec<u32>,
+    /// Counting-sort buffers of the gather and staging passes.
+    scatter: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl GroupStaging {
+    /// Folds one filter-surviving chunk into `grouped`.
+    fn transition_chunk<A: Aggregate>(
+        &mut self,
+        aggregate: &A,
+        schema: &Schema,
+        group_indices: &[usize],
+        grouped: &mut GroupedStates<A::State>,
+        chunk: &RowChunk,
+    ) -> Result<()> {
+        let rows = chunk.len();
+        let key_columns: Vec<&ColumnChunk> =
+            group_indices.iter().map(|&c| chunk.column(c)).collect();
+
+        // Pass 1: key every row into its slot and tally this chunk's
+        // distinct groups (the per-group selection masks, in compressed slot
+        // form).  Group values cluster in practice, so probe the previous
+        // row's key in place first — for text and array keys that skips the
+        // per-row key allocation entirely.
+        self.row_slots.clear();
+        for group in self.chunk_groups.drain(..) {
+            self.chunk_group_of_slot[group.0 as usize] = u32::MAX;
+        }
+        let mut previous: Option<(GroupKey, u32)> = None;
+        for i in 0..rows {
+            let slot = match &previous {
+                Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
+                _ => {
+                    let key = GroupKey::from_columns(&key_columns, i);
+                    let slot = grouped.slot_of(&key, || aggregate.initial_state());
+                    previous = Some((key, slot));
+                    slot
+                }
+            };
+            self.row_slots.push(slot);
+            if self.chunk_group_of_slot.len() <= slot as usize {
+                self.chunk_group_of_slot
+                    .resize(grouped.states.len(), u32::MAX);
+            }
+            let marker = &mut self.chunk_group_of_slot[slot as usize];
+            if *marker == u32::MAX {
+                *marker = self.chunk_groups.len() as u32;
+                self.chunk_groups.push((slot, 0));
+            }
+            self.chunk_groups[*marker as usize].1 += 1;
+        }
+        let states = &mut grouped.states;
+
+        if self.chunk_groups.len() == 1 {
+            // Single-key chunk: the whole chunk is one group's batch.  Any
+            // staged rows of this group's bucket must run first to keep the
+            // group's row order.
+            let slot = self.chunk_groups[0].0 as usize;
+            self.flush(aggregate, schema, states, slot / RADIX_SLOTS_PER_BUCKET)?;
+            return aggregate.transition_chunk(&mut states[slot], chunk, schema);
+        }
+
+        if rows >= self.chunk_groups.len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
+            // Batches are big enough for the vectorized kernels: bucket the
+            // row indices by group (counting-sort scatter, one flat reused
+            // buffer) and gather each group's rows — in row order — into a
+            // compacted sub-chunk.  Buckets holding staged rows of this
+            // chunk's groups flush first (order again).
+            if self.staged_total > 0 {
+                for g in 0..self.chunk_groups.len() {
+                    let slot = self.chunk_groups[g].0 as usize;
+                    self.flush(aggregate, schema, states, slot / RADIX_SLOTS_PER_BUCKET)?;
+                }
+            }
+            self.offsets.clear();
+            let mut running = 0u32;
+            for &(_, count) in &self.chunk_groups {
+                self.offsets.push(running);
+                running += count;
+            }
+            self.scatter.resize(rows, 0);
+            let mut cursors = self.offsets.clone();
+            for (i, &slot) in self.row_slots.iter().enumerate() {
+                let g = self.chunk_group_of_slot[slot as usize] as usize;
+                self.scatter[cursors[g] as usize] = i as u32;
+                cursors[g] += 1;
+            }
+            for (g, &(slot, count)) in self.chunk_groups.iter().enumerate() {
+                let start = self.offsets[g] as usize;
+                let indices = &self.scatter[start..start + count as usize];
+                let sub = chunk.gather_rows(indices);
+                aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
+            }
+            return Ok(());
+        }
+
+        // High-cardinality chunk — the radix partition pass.  Counting-sort
+        // the row indices into slot-range buckets and append each bucket's
+        // rows (columnar copies, no Row materialization) to its staging
+        // chunk; groups batch up across chunks and flush through
+        // transition_chunk once their bucket is full.  Per-group row order
+        // is preserved: a group's rows route through exactly one bucket, in
+        // scan order.
+        let wanted = states.len().div_ceil(RADIX_SLOTS_PER_BUCKET);
+        if self.buckets.len() < wanted {
+            self.buckets
+                .resize_with(wanted, || StagedBucket::new(schema));
+        }
+        self.scatter.resize(rows, 0);
+        self.stage(chunk)?;
+        // Flush buckets that reached a batch worth of rows — only the
+        // buckets staged into by *this* chunk (still listed in
+        // `chunk_buckets`) can have newly crossed the threshold, so the
+        // check is O(buckets touched), not O(all buckets).
+        for entry in 0..self.chunk_buckets.len() {
+            let b = self.chunk_buckets[entry].0 as usize;
+            if self.buckets[b].len() >= RADIX_FLUSH_ROWS {
+                self.flush(aggregate, schema, states, b)?;
+            }
+        }
+        // Bound total staging memory by draining the fullest buckets
+        // (global scan, but only reached when the cap is exceeded).
+        while self.staged_total > RADIX_MAX_STAGED_ROWS {
+            let fullest = (0..self.buckets.len())
+                .max_by_key(|&b| self.buckets[b].len())
+                .expect("buckets exist while rows are staged");
+            self.flush(aggregate, schema, states, fullest)?;
+        }
+        Ok(())
+    }
+
+    /// Stages the current chunk's rows (keyed in `row_slots`) into their
+    /// slot-range buckets: counting-sorts the row indices by bucket (stable,
+    /// preserving row order) and appends each bucket's run to its staging
+    /// chunk in one [`RowChunk::append_rows`] call.  The bucket directory is
+    /// epoch-stamped like the slot directory, so keying a row to its
+    /// chunk-bucket entry is O(1) no matter how many distinct buckets the
+    /// chunk touches or in what order keys arrive.
+    fn stage(&mut self, chunk: &RowChunk) -> Result<()> {
+        // Reset the directory: un-mark the previous staged chunk's buckets
+        // and cover any buckets created since.
+        for entry in self.chunk_buckets.drain(..) {
+            self.chunk_entry_of_bucket[entry.0 as usize] = u32::MAX;
+        }
+        self.chunk_entry_of_bucket
+            .resize(self.buckets.len(), u32::MAX);
+        // Distinct buckets of this chunk in first-seen order, with counts.
+        for &slot in &self.row_slots {
+            let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
+            let marker = &mut self.chunk_entry_of_bucket[b as usize];
+            if *marker == u32::MAX {
+                *marker = self.chunk_buckets.len() as u32;
+                self.chunk_buckets.push((b, 0));
+            }
+            self.chunk_buckets[*marker as usize].1 += 1;
+        }
+        // Counting-sort scatter with one cursor array: after the scatter
+        // pass each cursor sits at the *end* of its bucket's range, and the
+        // start is recovered as `end - count` — no second offsets buffer
+        // needed.
+        self.offsets.clear();
+        let mut running = 0u32;
+        for &(_, count) in &self.chunk_buckets {
+            self.offsets.push(running);
+            running += count;
+        }
+        for (i, &slot) in self.row_slots.iter().enumerate() {
+            let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
+            let entry = self.chunk_entry_of_bucket[b as usize] as usize;
+            self.scatter[self.offsets[entry] as usize] = i as u32;
+            self.offsets[entry] += 1;
+        }
+        for (entry, &(b, count)) in self.chunk_buckets.iter().enumerate() {
+            let end = self.offsets[entry] as usize;
+            let indices = &self.scatter[end - count as usize..end];
+            let bucket = &mut self.buckets[b as usize];
+            bucket.rows.append_rows(chunk, indices)?;
+            bucket
+                .slots
+                .extend(indices.iter().map(|&i| self.row_slots[i as usize]));
+            self.staged_total += count as usize;
+        }
+        Ok(())
+    }
+
+    /// Flushes bucket `b`, if the radix pass has created it: counting-sorts
+    /// the staged row indices by group slot (stable, so each group's rows
+    /// keep their scan order), gathers every group's batch through
+    /// [`RowChunk::gather_rows`] and feeds it to
+    /// [`Aggregate::transition_chunk`].  Clears the bucket in place
+    /// afterwards, keeping its grown buffers for the next staging round.
+    fn flush<A: Aggregate>(
+        &mut self,
+        aggregate: &A,
+        schema: &Schema,
+        states: &mut [A::State],
+        b: usize,
+    ) -> Result<()> {
+        let Some(bucket) = self.buckets.get_mut(b) else {
+            return Ok(());
+        };
+        let staged = bucket.len();
+        if staged == 0 {
+            return Ok(());
+        }
+        self.staged_total -= staged;
+        let chunk = &bucket.rows;
+        let slots = &bucket.slots;
+
+        let base = (b * RADIX_SLOTS_PER_BUCKET) as u32;
+        // Local counting sort over the bucket's (at most
+        // RADIX_SLOTS_PER_BUCKET) slots.
+        let mut counts = [0u32; RADIX_SLOTS_PER_BUCKET];
+        for &slot in slots {
+            counts[(slot - base) as usize] += 1;
+        }
+        let outcome = if counts.iter().any(|&c| c as usize == staged) {
+            // Single-group bucket: the whole staged chunk is one batch.
+            let slot = slots[0] as usize;
+            aggregate.transition_chunk(&mut states[slot], chunk, schema)
+        } else {
+            let mut offsets = [0u32; RADIX_SLOTS_PER_BUCKET];
+            let mut running = 0u32;
+            for (offset, &count) in offsets.iter_mut().zip(&counts) {
+                *offset = running;
+                running += count;
+            }
+            let mut scatter = vec![0u32; staged];
+            let mut cursors = offsets;
+            for (i, &slot) in slots.iter().enumerate() {
+                let local = (slot - base) as usize;
+                scatter[cursors[local] as usize] = i as u32;
+                cursors[local] += 1;
+            }
+            let mut result = Ok(());
+            for (local, &count) in counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let start = offsets[local] as usize;
+                let indices = &scatter[start..start + count as usize];
+                let sub = chunk.gather_rows(indices);
+                if let Err(err) =
+                    aggregate.transition_chunk(&mut states[base as usize + local], &sub, schema)
+                {
+                    result = Err(err);
+                    break;
+                }
+            }
+            result
+        };
+        bucket.rows.clear();
+        bucket.slots.clear();
+        outcome
+    }
+
+    /// Drains every bucket.  Cross-group order is free (each group's state
+    /// is independent); per-group order was preserved by the staging
+    /// discipline.
+    fn drain<A: Aggregate>(
+        &mut self,
+        aggregate: &A,
+        schema: &Schema,
+        states: &mut [A::State],
+    ) -> Result<()> {
+        for b in 0..self.buckets.len() {
+            self.flush(aggregate, schema, states, b)?;
+        }
+        debug_assert_eq!(self.staged_total, 0);
+        Ok(())
+    }
+}
+
+/// One radix bucket of the high-cardinality grouped transition: the staged
+/// rows of a contiguous run of [`RADIX_SLOTS_PER_BUCKET`] group slots,
+/// appended in scan order (so each group's rows stay in row order), plus
+/// each staged row's slot — recorded at staging time so a flush never
+/// re-derives keys.
+struct StagedBucket {
+    rows: RowChunk,
+    slots: Vec<u32>,
+}
+
+impl StagedBucket {
+    fn new(schema: &Schema) -> Self {
+        Self {
+            rows: RowChunk::new(schema),
+            slots: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 #[cfg(test)]
@@ -526,85 +987,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn partition_covers_all_rows_in_first_seen_order() {
-        let schema = Schema::new(vec![
-            Column::new("grp", ColumnType::Text),
-            Column::new("v", ColumnType::Double),
-        ]);
-        let mut chunk = RowChunk::new(&schema);
-        for (grp, v) in [("b", 1.0), ("a", 2.0), ("b", 3.0), ("a", 4.0), ("c", 5.0)] {
-            chunk.push_values(row![grp, v].values()).unwrap();
-        }
-        chunk
-            .push_values(&[Value::Null, Value::Double(6.0)])
-            .unwrap();
-
-        let groups = partition_by_group(&chunk, &[0]);
-        assert_eq!(groups.len(), 4);
-        assert_eq!(
-            groups[0].key,
-            GroupKey::from_value(&Value::Text("b".into()))
-        );
-        assert_eq!(groups[0].rows, 2);
-        assert_eq!(
-            groups[1].key,
-            GroupKey::from_value(&Value::Text("a".into()))
-        );
-        assert_eq!(
-            groups[2].key,
-            GroupKey::from_value(&Value::Text("c".into()))
-        );
-        assert_eq!(groups[3].key, GroupKey::single(KeyPart::Null));
-        let total: usize = groups.iter().map(|g| g.rows).sum();
-        assert_eq!(total, chunk.len());
-        // Masks are disjoint.
-        for i in 0..chunk.len() {
-            let owners = groups.iter().filter(|g| g.mask.is_selected(i)).count();
-            assert_eq!(owners, 1, "row {i} must belong to exactly one group");
-        }
-        // Gathering group "a" keeps its rows in order.
-        let a = &groups[1];
-        let sub = chunk.gather(&a.mask);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.value(0, 1), Value::Double(2.0));
-        assert_eq!(sub.value(1, 1), Value::Double(4.0));
-    }
-
-    #[test]
-    fn composite_partition_distinguishes_tuples() {
-        let schema = Schema::new(vec![
-            Column::new("a", ColumnType::Text),
-            Column::new("b", ColumnType::Int),
-        ]);
-        let mut chunk = RowChunk::new(&schema);
-        for (a, b) in [("x", 1), ("x", 2), ("y", 1), ("x", 1)] {
-            chunk.push_values(row![a, b].values()).unwrap();
-        }
-        // Single-column partition: 2 groups on "a", 2 on "b".
-        assert_eq!(partition_by_group(&chunk, &[0]).len(), 2);
-        assert_eq!(partition_by_group(&chunk, &[1]).len(), 2);
-        // Composite partition: 3 distinct (a, b) tuples, ("x", 1) twice.
-        let groups = partition_by_group(&chunk, &[0, 1]);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(
-            groups[0].key,
-            GroupKey::from_values([&Value::Text("x".into()), &Value::Int(1)])
-        );
-        assert_eq!(groups[0].rows, 2);
-    }
-
-    #[test]
-    fn array_keys_group_by_content() {
-        let schema = Schema::new(vec![Column::new("k", ColumnType::DoubleArray)]);
-        let mut chunk = RowChunk::new(&schema);
-        chunk.push_values(row![vec![1.0, 2.0]].values()).unwrap();
-        chunk.push_values(row![vec![1.0, 2.0]].values()).unwrap();
-        chunk.push_values(row![vec![2.0]].values()).unwrap();
-        let groups = partition_by_group(&chunk, &[0]);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].rows, 2);
     }
 }

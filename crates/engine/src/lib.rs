@@ -57,19 +57,20 @@
 //!   and partially-selected chunks are gathered into a compacted chunk, so
 //!   the per-row branch disappears from transition inner loops.
 //! * **Pipeline** — the [`scan`] module packages the scan loop itself
-//!   (chunk iteration, filter → mask, compaction, panic-safe
-//!   thread-per-segment fan-out) as reusable primitives.  *Every* scan
-//!   consumer runs on it: ungrouped aggregation, grouped aggregation
-//!   ([`dataset::Dataset::aggregate_per_group`], per-segment hash grouping
-//!   on typed — possibly composite — [`group::GroupKey`]s: each chunk is
-//!   partitioned by key and every group's rows are gathered, in row order,
-//!   into a compacted sub-chunk for [`Aggregate::transition_chunk`]; chunks
-//!   with more groups than direct gathers pay for run a radix partition
-//!   pass instead, staging rows into group-slot buckets across chunks via
+//!   (chunk iteration, filter → mask, compaction, panic-safe work-stealing
+//!   fan-out over segments, chunk ranges or owned items) as reusable
+//!   primitives.  *Every* scan consumer runs on it: ungrouped aggregation,
+//!   grouped aggregation ([`dataset::Dataset::aggregate_per_group`],
+//!   per-segment hash grouping on typed — possibly composite —
+//!   [`group::GroupKey`]s: each chunk is keyed into per-segment group slots
+//!   and every group's rows are gathered, in row order, into a compacted
+//!   sub-chunk for [`Aggregate::transition_chunk`]; chunks with more groups
+//!   than direct gathers pay for run a radix partition pass instead,
+//!   staging rows into group-slot buckets across chunks via
 //!   [`chunk::RowChunk::append_rows`] and flushing each group as one batch
-//!   — bit-identical either way; [`group::partition_by_group`] exposes the
-//!   same per-group [`chunk::SelectionMask`] partitioning to standalone
-//!   consumers), and projections ([`dataset::Dataset::map_chunks`] /
+//!   — bit-identical either way), materialized views (which absorb appends
+//!   through the same filter, grouped transition and merge folds), and
+//!   projections ([`dataset::Dataset::map_chunks`] /
 //!   [`Executor::parallel_map_chunks`] with the row-level adapters layered
 //!   on top).
 //! * **Modes** — [`executor::ExecutionMode::RowAtATime`] forces the legacy

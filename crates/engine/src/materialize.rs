@@ -11,31 +11,30 @@
 //! A [`MaterializedAggregate`] holds, per table segment, the partial states
 //! of an aggregate together with a **chunk watermark**: how many chunks (and
 //! how many rows of the open tail chunk) have already been absorbed.
-//! [`MaterializedAggregate::absorb`] advances the watermark by running
-//! [`Aggregate::transition_chunk`] on the rows past it — O(appended rows),
-//! not O(table) — and [`MaterializedAggregate::finalize`] re-runs merge +
-//! finalize over the retained states.
+//! [`MaterializedAggregate::absorb`] advances the watermark by running the
+//! transition on the rows past it — O(appended rows), not O(table) — and
+//! [`MaterializedAggregate::finalize`] re-runs merge + finalize over the
+//! retained states.
 //!
 //! # Bit-identity with the batch path
 //!
-//! The absorbed states reproduce the executor's batch scan **bit-for-bit**,
-//! which rests on three invariants:
+//! A view runs the batch scan's own code, so its result is the batch
+//! result bit-for-bit:
 //!
-//! 1. `transition_chunk` is bit-identical to sequential per-row
-//!    `transition` (the engine-wide override contract).  Splitting a chunk
-//!    at any row boundary and transitioning the pieces sequentially is
-//!    therefore bit-identical to one whole-chunk call — so absorbing a
-//!    then-open tail chunk in several installments matches the batch scan
-//!    that sees it sealed.
-//! 2. The view keeps one state per segment, as every aggregate scan does
-//!    ([`crate::scan::run_per_segment`]): an ungrouped segment's state
-//!    starts at `initial_state()` and only ever grows by transitions, so no
-//!    merge happens inside a segment on either path.
-//! 3. Finalize replays the executor's exact merge structure: the
-//!    per-segment states fold left-to-right in segment order (grouped states
-//!    fold flat per key in (segment, first-appearance) order, matching the
-//!    grouped coordinator), and empty segments contribute `initial_state()`
-//!    exactly where the batch scan does.
+//! - the rows past the watermark stream through [`crate::scan::scan_chunks`]
+//!   (the scan's filter, mask and compaction);
+//! - an ungrouped view folds each batch into its segment's single state with
+//!   [`Aggregate::transition_chunk`], as the executor does; a grouped view
+//!   keeps each segment's key → slot directory and slot-indexed states and
+//!   advances them with the batch grouped scan's per-segment transition
+//!   (direct gathers, radix staging, single-key chunks alike), draining
+//!   every staged row before the absorb returns;
+//! - finalize runs the segment-order fold the executor uses and the per-key
+//!   fold + sort the grouped scan uses.
+//!
+//! Absorbing a then-open tail chunk in installments splits the batch scan's
+//! transitions at row boundaries, which the `transition_chunk` contract
+//! (bit-identical to sequential per-row `transition`) makes invisible.
 //!
 //! One requirement is **not** checkable here and is part of the contract for
 //! aggregates used incrementally: `merge(state, initial_state())` must be
@@ -54,16 +53,17 @@
 //! states; an in-place rewrite that keeps row counts identical is *not*
 //! detectable — drop and recreate the view around such mutations.
 
-use crate::aggregate::Aggregate;
+use crate::aggregate::{merge_segment_states, Aggregate};
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
 use crate::executor::Executor;
 use crate::expr::Predicate;
-use crate::group::{self, GroupKey};
+use crate::group::{self, GroupKey, GroupedStates};
+use crate::scan;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::any::Any;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Type-erased handle to a [`MaterializedAggregate`], so the
 /// [`crate::Database`] view registry can hold views of heterogeneous
@@ -89,12 +89,12 @@ pub trait AnyMaterialized: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// One segment's partial state: a single state for ungrouped views, per-key
-/// states in first-appearance order for grouped views.
+/// One segment's partial state: a single state for ungrouped views, the
+/// batch grouped scan's per-segment states for grouped views.
 #[derive(Debug, Clone)]
 enum PartialState<S> {
     Single(S),
-    Grouped(Vec<(GroupKey, S)>),
+    Grouped(GroupedStates<S>),
 }
 
 /// Per-segment partial states plus the segment's chunk watermark.
@@ -107,16 +107,6 @@ struct SegmentStates<S> {
     /// Rows of chunk `absorbed_chunks` already absorbed (the open-tail
     /// partial watermark; `0` when that chunk is untouched).
     tail_rows: usize,
-}
-
-impl<S> SegmentStates<S> {
-    fn new(states: PartialState<S>) -> Self {
-        Self {
-            states,
-            absorbed_chunks: 0,
-            tail_rows: 0,
-        }
-    }
 }
 
 /// Incrementally maintained partial aggregate state over one table — see the
@@ -261,42 +251,43 @@ where
         if shrank {
             self.segments[seg] = self.empty_segment();
         }
-
-        // Partial-tail catch-up: the last absorb stopped mid-chunk.
-        let st = &self.segments[seg];
-        let (mut next_chunk, tail_rows) = (st.absorbed_chunks, st.tail_rows);
-        if tail_rows > 0 {
-            let chunk = &chunks[next_chunk];
-            if chunk.len() > tail_rows {
-                let indices: Vec<u32> = (tail_rows as u32..chunk.len() as u32).collect();
-                let suffix = chunk.gather_rows(&indices);
-                self.absorb_piece(seg, &suffix, schema, group_indices)?;
-            }
-            // Advance past the chunk only once a successor proves it sealed.
-            if next_chunk + 1 < chunks.len() {
-                next_chunk += 1;
-                self.segments[seg].absorbed_chunks = next_chunk;
-                self.segments[seg].tail_rows = 0;
-            } else {
-                self.segments[seg].tail_rows = chunk.len();
-                return Ok(());
-            }
+        let st = &mut self.segments[seg];
+        let Some(last) = chunks.len().checked_sub(1) else {
+            return Ok(());
+        };
+        if st.absorbed_chunks == last && st.tail_rows == chunks[last].len() {
+            return Ok(());
         }
 
-        // Whole-chunk loop from the watermark to the end of the segment.
-        while next_chunk < chunks.len() {
-            let chunk = std::sync::Arc::clone(&chunks[next_chunk]);
-            self.absorb_piece(seg, &chunk, schema, group_indices)?;
-            if next_chunk + 1 < chunks.len() {
-                next_chunk += 1;
-                self.segments[seg].absorbed_chunks = next_chunk;
-            } else {
-                // Open tail (even if currently at capacity — it is only
-                // provably sealed once a successor chunk exists).
-                self.segments[seg].tail_rows = chunk.len();
-                break;
+        // The pieces past the watermark: the unabsorbed suffix of the chunk
+        // the last absorb stopped in, then every later chunk.
+        let mut pieces: Vec<Arc<RowChunk>> = chunks[st.absorbed_chunks..].to_vec();
+        if st.tail_rows > 0 {
+            let indices: Vec<u32> = (st.tail_rows as u32..pieces[0].len() as u32).collect();
+            pieces[0] = Arc::new(pieces[0].gather_rows(&indices));
+        }
+        let filter = self.filter.as_ref();
+        match &mut st.states {
+            PartialState::Single(state) => {
+                scan::scan_chunks(&pieces, schema, filter, |batch| {
+                    self.aggregate
+                        .transition_chunk(state, batch.chunk(), schema)
+                })?;
+            }
+            PartialState::Grouped(grouped) => {
+                grouped.transition_chunks(
+                    &self.aggregate,
+                    &pieces,
+                    schema,
+                    group_indices,
+                    filter,
+                )?;
             }
         }
+        // The last chunk stays the open tail (even if currently at capacity
+        // — it is only provably sealed once a successor chunk exists).
+        st.absorbed_chunks = last;
+        st.tail_rows = chunks[last].len();
         Ok(())
     }
 
@@ -304,67 +295,15 @@ where
     /// view (what an empty segment contributes to the batch merge), no keys
     /// for a grouped one.
     fn empty_segment(&self) -> SegmentStates<A::State> {
-        SegmentStates::new(if self.is_grouped() {
-            PartialState::Grouped(Vec::new())
+        let states = if self.is_grouped() {
+            PartialState::Grouped(GroupedStates::default())
         } else {
             PartialState::Single(self.aggregate.initial_state())
-        })
-    }
-
-    /// Folds one piece (a whole chunk, or the gathered suffix of the open
-    /// tail chunk) of segment `seg` into the segment's state, applying the
-    /// view's filter exactly as [`crate::scan::scan_chunks`] does.
-    fn absorb_piece(
-        &mut self,
-        seg: usize,
-        piece: &RowChunk,
-        schema: &Schema,
-        group_indices: &[usize],
-    ) -> Result<()> {
-        if piece.is_empty() {
-            return Ok(());
-        }
-        // Mirror the scan's filter handling: one mask per piece, pass-through
-        // when fully selected, gather-compact when partially selected.
-        let compacted;
-        let batch: &RowChunk = match &self.filter {
-            None => piece,
-            Some(predicate) => {
-                let mask = predicate.evaluate_chunk(piece, schema)?;
-                let selected = mask.count_selected();
-                if selected == 0 {
-                    return Ok(());
-                }
-                if selected == piece.len() {
-                    piece
-                } else {
-                    compacted = piece.gather(&mask);
-                    &compacted
-                }
-            }
         };
-        match &mut self.segments[seg].states {
-            PartialState::Single(state) => self.aggregate.transition_chunk(state, batch, schema),
-            PartialState::Grouped(states) => {
-                for part in group::partition_by_group(batch, group_indices) {
-                    let slot = match states.iter().position(|(k, _)| *k == part.key) {
-                        Some(slot) => slot,
-                        None => {
-                            states.push((part.key.clone(), self.aggregate.initial_state()));
-                            states.len() - 1
-                        }
-                    };
-                    if part.rows == batch.len() {
-                        self.aggregate
-                            .transition_chunk(&mut states[slot].1, batch, schema)?;
-                    } else {
-                        let sub = batch.gather(&part.mask);
-                        self.aggregate
-                            .transition_chunk(&mut states[slot].1, &sub, schema)?;
-                    }
-                }
-                Ok(())
-            }
+        SegmentStates {
+            states,
+            absorbed_chunks: 0,
+            tail_rows: 0,
         }
     }
 
@@ -379,21 +318,12 @@ where
                 "finalize on a grouped materialized aggregate; use finalize_grouped",
             ));
         }
-        // Replay the executor's merge structure exactly: fold the
-        // per-segment states in segment order.
-        let mut merged: Option<A::State> = None;
-        for seg in &self.segments {
-            let state = match &seg.states {
-                PartialState::Single(s) => s.clone(),
-                PartialState::Grouped(_) => unreachable!("ungrouped view"),
-            };
-            merged = Some(match merged {
-                None => state,
-                Some(prev) => self.aggregate.merge(prev, state),
-            });
-        }
-        let state = merged.unwrap_or_else(|| self.aggregate.initial_state());
-        self.aggregate.finalize(state)
+        let states = self.segments.iter().map(|seg| match &seg.states {
+            PartialState::Single(state) => state.clone(),
+            PartialState::Grouped(_) => unreachable!("ungrouped view"),
+        });
+        self.aggregate
+            .finalize(merge_segment_states(&self.aggregate, states))
     }
 
     /// Merges the retained per-group states and finalizes each group,
@@ -408,26 +338,12 @@ where
                 "finalize_grouped on an ungrouped materialized aggregate; use finalize",
             ));
         }
-        // Per key, states merge flat left-to-right in (segment,
-        // first-appearance) order — the grouped coordinator's fold.
-        let mut merged: HashMap<GroupKey, A::State> = HashMap::new();
-        for seg in &self.segments {
-            let states = match &seg.states {
-                PartialState::Grouped(states) => states,
-                PartialState::Single(_) => unreachable!("grouped view"),
-            };
-            for (key, state) in states {
-                let combined = match merged.remove(key) {
-                    None => state.clone(),
-                    Some(prev) => self.aggregate.merge(prev, state.clone()),
-                };
-                merged.insert(key.clone(), combined);
-            }
-        }
-        let mut entries: Vec<(GroupKey, A::State)> = merged.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let segments = self.segments.iter().map(|seg| match &seg.states {
+            PartialState::Grouped(grouped) => grouped.cloned_pairs(),
+            PartialState::Single(_) => unreachable!("grouped view"),
+        });
         let mut scratch = self.aggregate.make_finalize_scratch();
-        entries
+        group::merge_segment_groups(&self.aggregate, segments)
             .into_iter()
             .map(|(key, state)| {
                 self.aggregate

@@ -1,27 +1,27 @@
 //! The reusable chunk-at-a-time scan pipeline.
 //!
-//! PR 1 vectorized the ungrouped aggregate scan; this module extracts the
-//! pieces that made it fast — per-segment chunk iteration, predicate
-//! evaluation hoisted to one [`crate::chunk::SelectionMask`] per chunk, compaction of
-//! partially selected chunks, and the thread-per-segment fan-out — into
-//! free functions every scan consumer shares.  The executor's ungrouped
-//! aggregation, grouped aggregation, and `parallel_map` are all thin
-//! compositions of these primitives, so a new consumer (a sketch pass, a
-//! projection, a custom driver) opts into vectorized execution by writing a
-//! per-batch sink instead of re-implementing the scan loop.
+//! This module holds the pieces every scan consumer shares: chunk iteration,
+//! predicate evaluation hoisted to one [`crate::chunk::SelectionMask`] per
+//! chunk, compaction of partially selected chunks, and the work-stealing
+//! fan-out over segments, chunk ranges or owned items.  The executor's
+//! ungrouped aggregation, grouped aggregation, materialized views and
+//! `parallel_map` are all thin compositions of these primitives, so a new
+//! consumer (a sketch pass, a projection, an iterative method) opts into
+//! vectorized execution by writing a per-batch sink instead of
+//! re-implementing the scan loop.
 //!
-//! The fan-out ([`run_per_segment`]) additionally converts worker panics
-//! into [`EngineError::WorkerPanicked`] values instead of aborting the
+//! The fan-outs additionally convert worker panics into
+//! [`EngineError::WorkerPanicked`] values instead of aborting the
 //! coordinating thread, so a buggy user-defined aggregate surfaces as an
 //! error the driver can handle — the behaviour a DBMS gives a crashing UDF
 //! query.
 //!
 //! # Scheduling
 //!
-//! Both fan-outs — [`run_per_segment`] / [`run_per_segment_ranged`] over a
+//! Every fan-out — [`run_per_segment`] / [`run_per_segment_ranged`] over a
 //! table's segments and [`run_per_item`] over an owned work list (per-group
-//! finalize states, gathered per-group tables) — use the same
-//! **work-stealing** scheduler: workers claim the next unclaimed unit from a
+//! finalize states, gathered per-group tables) — runs on one
+//! **work-stealing** item pool: workers claim the next unclaimed unit from a
 //! shared atomic cursor instead of being striped statically, so a skewed
 //! workload (one hot tenant, one giant group) no longer serializes the
 //! worker that happened to own it while its siblings sit idle.  Results land
@@ -425,8 +425,8 @@ where
 }
 
 /// The shared core of [`run_per_segment`] and [`run_per_segment_ranged`]:
-/// schedules `units` over `workers` stealing workers (or the calling thread)
-/// and folds per-unit results into per-segment results in range order.
+/// runs `units` on the item pool ([`run_per_item_with_workers`]) and folds
+/// the per-unit results into per-segment results in range order.
 fn run_units_with_workers<T, F, M>(
     table: &Table,
     units: Vec<ChunkRange>,
@@ -439,55 +439,20 @@ where
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
     M: Fn(T, T) -> T,
 {
-    let num_units = units.len();
-    let run_caught = |unit: ChunkRange| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            work(unit, table.segment(unit.segment))
-        }))
-        .unwrap_or_else(|payload| Err(worker_panic_error(payload.as_ref())))
-    };
-    let mut unit_results: Vec<Option<Result<T>>> = (0..num_units).map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, &unit) in unit_results.iter_mut().zip(&units) {
-            *slot = Some(run_caught(unit));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let run_caught = &run_caught;
-            let cursor = &cursor;
-            let units = &units;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            // Work stealing: claim the next unclaimed unit.
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= num_units {
-                                break;
-                            }
-                            done.push((idx, run_caught(units[idx])));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Workers catch panics per unit, so joins cannot fail.
-                for (idx, result) in handle.join().expect("worker catches its panics") {
-                    unit_results[idx] = Some(result);
-                }
-            }
-        });
-    }
+    let unit_results = run_per_item_with_workers(
+        units.clone(),
+        workers,
+        || (),
+        |_, unit: ChunkRange, ()| work(unit, table.segment(unit.segment)),
+    );
     // Fold per-unit results into per-segment results.  Units are in
     // (segment, chunk_lo) order, so iterating unit slots in order merges
     // each segment's ranges left-to-right — the deterministic range-order
     // merge the bit-identity guarantees rest on.
     let mut results: Vec<Option<Result<T>>> = (0..table.num_segments()).map(|_| None).collect();
-    for (&unit, result) in units.iter().zip(unit_results) {
-        let result = result.expect("the cursor hands every unit to exactly one worker");
+    for (unit, result) in units.iter().zip(unit_results) {
+        // Outer Err = worker panic; inner Err = the unit's own failure.
+        let result = result.and_then(|r| r);
         let slot = &mut results[unit.segment];
         *slot = Some(match slot.take() {
             None => result,

@@ -95,6 +95,20 @@ fn installment_sizes(total: usize, cuts: &[usize]) -> Vec<usize> {
     sizes
 }
 
+/// Asserts that a grouped average view finalizes bit-for-bit to
+/// `aggregate_per_group` over `scratch`, key by key.
+fn assert_grouped_view_matches(view: &MaterializedAggregate<AvgAggregate>, scratch: Dataset<'_>) {
+    let expected = scratch
+        .aggregate_per_group(&AvgAggregate::new("v"))
+        .unwrap();
+    let got = view.finalize_grouped().unwrap();
+    prop_assert_eq!(got.len(), expected.len());
+    for ((gk, gv), (ek, ev)) in got.iter().zip(&expected) {
+        prop_assert_eq!(gk, ek);
+        prop_assert_eq!(gv.map(f64::to_bits), ev.map(f64::to_bits));
+    }
+}
+
 proptest! {
     /// Linear regression: train, then append in randomized installments,
     /// refreshing after each — every refreshed model must be bit-identical
@@ -242,7 +256,12 @@ proptest! {
     /// not expose: a filter, a grouped view, and NULL-bearing appends.  The
     /// view's `finalize`/`finalize_grouped` must stay bit-identical to
     /// running the equivalent `Dataset` aggregate from scratch after every
-    /// installment, in both execution modes.
+    /// installment, in both execution modes.  Three more grouped views ride
+    /// along: a composite `(g, k)` key whose `k` part is NULL, NaN, -0.0,
+    /// 0.0 or 1.0; a filtered grouped view; and a view keyed by `h` (1 to 64
+    /// distinct keys) over a copy of the table with chunks of up to 64 rows,
+    /// so single-key chunks, direct per-group gathers and the radix staging
+    /// pass all run.
     #[test]
     fn filtered_and_grouped_views_absorb_bit_identically(
         points in prop::collection::vec((-10.0..10.0f64, 0u8..3, any::<bool>()), 6..60),
@@ -250,32 +269,57 @@ proptest! {
         cuts in prop::collection::vec(1usize..40, 0..3),
         segments in 1usize..4,
         chunk_capacity in 2usize..7,
-        row_mode in any::<bool>(),
+        (row_mode, (k_draws, h_draws, cardinality, wide_capacity)) in (
+            any::<bool>(),
+            (
+                prop::collection::vec(0usize..5, 60),
+                prop::collection::vec(0u8..64, 60),
+                1u8..65,
+                2usize..65,
+            ),
+        ),
     ) {
         let schema = Schema::new(vec![
             Column::new("v", ColumnType::Double),
             Column::new("g", ColumnType::Text),
+            Column::new("k", ColumnType::Double),
+            Column::new("h", ColumnType::Int),
         ]);
+        let k_values = [
+            Value::Null,
+            Value::Double(f64::NAN),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(1.0),
+        ];
         let rows: Vec<Row> = points
             .iter()
-            .map(|&(v, g, null)| {
-                if null {
-                    Row::new(vec![Value::Null, Value::Text(format!("g{g}"))])
-                } else {
-                    row![v, format!("g{g}")]
-                }
+            .enumerate()
+            .map(|(i, &(v, g, null))| {
+                let v = if null { Value::Null } else { Value::Double(v) };
+                Row::new(vec![
+                    v,
+                    Value::Text(format!("g{g}")),
+                    k_values[k_draws[i]].clone(),
+                    Value::Int(i64::from(h_draws[i] % cardinality)),
+                ])
             })
             .collect();
         let exec = executor(row_mode);
         let initial = (points.len() * initial_fraction / 8).max(1);
-        let mut table = Table::new(schema, segments)
+        let mut table = Table::new(schema.clone(), segments)
             .unwrap()
             .with_chunk_capacity(chunk_capacity)
+            .unwrap();
+        let mut wide = Table::new(schema, segments)
+            .unwrap()
+            .with_chunk_capacity(wide_capacity)
             .unwrap();
         let mut rows = rows;
         let pending = rows.split_off(initial.min(rows.len()));
         for row in rows {
-            table.insert(row).unwrap();
+            table.insert(row.clone()).unwrap();
+            wide.insert(row).unwrap();
         }
 
         let filter = Predicate::column_gt("v", 0.0);
@@ -283,17 +327,31 @@ proptest! {
             .with_filter(filter.clone());
         let mut grouped = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
             .with_group_columns(["g"]);
+        let mut composite = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
+            .with_group_columns(["g", "k"]);
+        let mut filtered_grouped = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
+            .with_filter(filter.clone())
+            .with_group_columns(["g"]);
+        let mut high_cardinality = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
+            .with_group_columns(["h"]);
         filtered.absorb(&table).unwrap();
         grouped.absorb(&table).unwrap();
+        composite.absorb(&table).unwrap();
+        filtered_grouped.absorb(&table).unwrap();
+        high_cardinality.absorb(&wide).unwrap();
 
         let mut offset = 0usize;
         for size in installment_sizes(pending.len(), &cuts) {
             for row in &pending[offset..offset + size] {
                 table.insert(row.clone()).unwrap();
+                wide.insert(row.clone()).unwrap();
             }
             offset += size;
             filtered.absorb(&table).unwrap();
             grouped.absorb(&table).unwrap();
+            composite.absorb(&table).unwrap();
+            filtered_grouped.absorb(&table).unwrap();
+            high_cardinality.absorb(&wide).unwrap();
 
             let sum_scratch = Dataset::from_table(&table)
                 .with_executor(exec)
@@ -316,6 +374,17 @@ proptest! {
                 prop_assert_eq!(vk, sk);
                 prop_assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits));
             }
+
+            let scratch = Dataset::from_table(&table).with_executor(exec);
+            assert_grouped_view_matches(&composite, scratch.clone().group_by(["g", "k"]));
+            assert_grouped_view_matches(
+                &filtered_grouped,
+                scratch.filter(filter.clone()).group_by(["g"]),
+            );
+            assert_grouped_view_matches(
+                &high_cardinality,
+                Dataset::from_table(&wide).with_executor(exec).group_by(["h"]),
+            );
         }
     }
 
